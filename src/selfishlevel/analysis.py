@@ -12,9 +12,10 @@ improving unilateral deviation lowers social welfare, and its appeal
 factor is the payoff gain divided by that welfare drop.  The level is
 the minimum over stable social optima of the largest appeal factor.
 
-Cost-minimizing games are analyzed through their negation, which has the
-same equilibria and optima; reported gains and drops are then the cost
-decrease and social-cost increase, both positive.
+The kernels run on each game's scaled-integer form (see ``core``), in
+which cost games are negated so that larger is always better; reported
+gains and drops are converted back to native units, so for cost games
+they are the cost decrease and the social-cost increase, both positive.
 """
 
 from __future__ import annotations
@@ -26,7 +27,15 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .core import Game, Orientation, Profile, parse_rational
-from .errors import GameError, NegativeAlpha, NotImproving, NotStableOptimum
+from .errors import (
+    EmptyStrategySet,
+    GameError,
+    IndexOutOfRange,
+    NegativeAlpha,
+    NotImproving,
+    NotStableOptimum,
+    PlayerCountTooSmall,
+)
 
 ZERO = Fraction(0)
 
@@ -149,123 +158,70 @@ class LevelResult:
 # equilibria and optima
 # ---------------------------------------------------------------------------
 
-def _maximizing(game: Game) -> Game:
-    """The game itself, or its negation for cost games."""
-    if game.orientation is Orientation.PAYOFF_MAX:
-        return game
-    return game.negated()
-
-
-def _pure_nash_max(g: Game) -> list[Profile]:
-    n = g.player_count
-    best: list[dict] = [{} for _ in range(n)]
-    for s, vec in zip(g.joint_strategies(), g.payoffs):
-        for i in range(n):
-            key = s[:i] + s[i + 1:]
-            current = best[i].get(key)
-            if current is None or vec[i] > current:
-                best[i][key] = vec[i]
-    out = []
-    for s, vec in zip(g.joint_strategies(), g.payoffs):
-        if all(vec[i] == best[i][s[:i] + s[i + 1:]] for i in range(n)):
-            out.append(s)
-    return out
+def _check_player(game: Game, player: int) -> None:
+    if not 0 <= player < game.player_count:
+        raise IndexOutOfRange(f"player index {player} out of range")
 
 
 def pure_nash(game: Game) -> list[Profile]:
     """All pure Nash equilibria, lexicographically sorted (possibly none)."""
-    return _pure_nash_max(_maximizing(game))
+    kernel = game._kernel
+    return [kernel.profile(c) for c in kernel.nash]
 
 
 def is_nash(game: Game, profile: Profile) -> bool:
     """Whether no player can strictly improve by a unilateral deviation."""
-    g = _maximizing(game)
-    base = g.payoff_vector(profile)
-    for i, m in enumerate(g.strategy_counts):
-        for alt in range(m):
-            if alt == profile[i]:
-                continue
-            if g.payoff(profile[:i] + (alt,) + profile[i + 1:], i) > base[i]:
-                return False
-    return True
-
-
-def _social_optima_max(g: Game) -> list[Profile]:
-    best = None
-    out: list[Profile] = []
-    for s, vec in zip(g.joint_strategies(), g.payoffs):
-        sw = sum(vec, ZERO)
-        if best is None or sw > best:
-            best = sw
-            out = [s]
-        elif sw == best:
-            out.append(s)
-    return out
+    cell = game.flat_index(profile)
+    kernel = game._kernel
+    return not any(kernel.moves(cell, i) for i in range(game.player_count))
 
 
 def social_optima(game: Game) -> list[Profile]:
     """All welfare-maximizing (cost-minimizing) profiles, ties included."""
-    return _social_optima_max(_maximizing(game))
+    kernel = game._kernel
+    return [kernel.profile(c) for c in kernel.optima]
 
 
 def social_optimum_value(game: Game) -> Fraction:
     """The optimal social value in the game's native orientation."""
-    values = (game.social_value(s) for s in game.joint_strategies())
-    if game.orientation is Orientation.PAYOFF_MAX:
-        return max(values)
-    return min(values)
-
-
-def _stable_social_optima_max(g: Game) -> list[Profile]:
-    optima = _social_optima_max(g)
-    optimum_set = set(optima)
-    out = []
-    for s in optima:
-        stable = True
-        for i, m in enumerate(g.strategy_counts):
-            base = g.payoff(s, i)
-            for alt in range(m):
-                if alt == s[i]:
-                    continue
-                t = s[:i] + (alt,) + s[i + 1:]
-                if t in optimum_set and g.payoff(t, i) > base:
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
-            out.append(s)
-    return out
+    kernel = game._kernel
+    return kernel.native(kernel.best_welfare)
 
 
 def stable_social_optima(game: Game) -> list[Profile]:
     """Social optima from which no player gains by moving to another optimum."""
-    return _stable_social_optima_max(_maximizing(game))
+    kernel = game._kernel
+    return [kernel.profile(c) for c in kernel.stable]
 
 
 def upper_contour(game: Game, profile: Profile, player: int) -> UpperContourSet:
     """Player's strictly improving unilateral deviations at ``profile``."""
-    g = _maximizing(game)
-    base = g.payoff(profile, player)
-    improving = frozenset(
-        alt
-        for alt in range(g.strategy_counts[player])
-        if alt != profile[player]
-        and g.payoff(profile[:player] + (alt,) + profile[player + 1:], player) > base
-    )
-    return UpperContourSet(player, profile, improving)
+    _check_player(game, player)
+    kernel = game._kernel
+    moves = kernel.moves(game.flat_index(profile), player)
+    return UpperContourSet(player, profile,
+                           frozenset(kernel.profile(t)[player] for t in moves))
 
 
 # ---------------------------------------------------------------------------
 # appeal factors and the level
 # ---------------------------------------------------------------------------
 
-def _deviation_record(g: Game, profile: Profile, player: int, to_strategy: int,
-                      sw_base: Fraction) -> DeviationRecord:
-    target = profile[:player] + (to_strategy,) + profile[player + 1:]
-    gain = g.payoff(target, player) - g.payoff(profile, player)
-    drop = sw_base - g.social_value(target)
-    return DeviationRecord(player, profile, to_strategy, gain, drop, gain / drop)
+def _stable_cell(game: Game, profile: Profile) -> int:
+    kernel = game._kernel
+    if profile not in [kernel.profile(c) for c in kernel.stable]:
+        raise NotStableOptimum(f"{profile} is not a stable social optimum")
+    return game.flat_index(profile)
+
+
+def _deviation_record(kernel, cell: int, player: int, target: int) -> DeviationRecord:
+    gain = kernel.values[player][target] - kernel.values[player][cell]
+    drop = kernel.welfare[cell] - kernel.welfare[target]
+    return DeviationRecord(
+        player, kernel.profile(cell), kernel.profile(target)[player],
+        Fraction(gain, kernel.denominator), Fraction(drop, kernel.denominator),
+        Fraction(gain, drop),
+    )
 
 
 def appeal_factor(game: Game, profile: Profile, player: int,
@@ -276,44 +232,31 @@ def appeal_factor(game: Game, profile: Profile, player: int,
     optimum, and NotImproving unless the deviation strictly improves the
     deviator.  The welfare drop is then guaranteed positive.
     """
-    g = _maximizing(game)
-    if profile not in _stable_social_optima_max(g):
-        raise NotStableOptimum(f"{profile} is not a stable social optimum")
-    target = profile[:player] + (to_strategy,) + profile[player + 1:]
-    if g.payoff(target, player) <= g.payoff(profile, player):
+    cell = _stable_cell(game, profile)
+    _check_player(game, player)
+    target = game.flat_index(profile[:player] + (to_strategy,) + profile[player + 1:])
+    if target not in game._kernel.moves(cell, player):
         raise NotImproving(
             f"strategy {to_strategy} does not improve player {player} at {profile}"
         )
-    return _deviation_record(g, profile, player, to_strategy, g.social_value(profile))
+    return _deviation_record(game._kernel, cell, player, target)
 
 
-def _optimum_alpha(g: Game, profile: Profile) -> tuple[Fraction, DeviationRecord | None]:
-    """Largest appeal factor at a stable social optimum of the maximizing game.
+def _steepest_move(kernel, cell: int) -> tuple[int, int, int, int] | None:
+    """The improving deviation of largest appeal factor at a stable optimum.
 
-    Returns (0, None) when no player has a strictly improving deviation;
-    otherwise the maximum and its lexicographically first attaining
-    deviation (by player, then strategy index).
+    Returns (gain, drop, player, target cell) in scaled integers, the
+    first in (player, strategy) order among equal factors, or None when
+    no player has a strictly improving deviation.
     """
-    sw_base = g.social_value(profile)
-    best: Fraction | None = None
-    witness: DeviationRecord | None = None
-    for i, m in enumerate(g.strategy_counts):
-        base = g.payoff(profile, i)
-        for alt in range(m):
-            if alt == profile[i]:
-                continue
-            target = profile[:i] + (alt,) + profile[i + 1:]
-            gain = g.payoff(target, i) - base
-            if gain <= 0:
-                continue
-            drop = sw_base - g.social_value(target)
-            factor = gain / drop
-            if best is None or factor > best:
-                best = factor
-                witness = DeviationRecord(i, profile, alt, gain, drop, factor)
-    if best is None:
-        return ZERO, None
-    return best, witness
+    best = None
+    for i, values in enumerate(kernel.values):
+        for t in kernel.moves(cell, i):
+            gain = values[t] - values[cell]
+            drop = kernel.welfare[cell] - kernel.welfare[t]
+            if best is None or gain * best[1] > best[0] * drop:
+                best = (gain, drop, i, t)
+    return best
 
 
 def stabilizing_alpha(game: Game, profile: Profile) -> Fraction:
@@ -322,11 +265,8 @@ def stabilizing_alpha(game: Game, profile: Profile) -> Fraction:
     Zero when the optimum already is a Nash equilibrium; otherwise the
     maximum appeal factor over all improving deviations at it.
     """
-    g = _maximizing(game)
-    if profile not in _stable_social_optima_max(g):
-        raise NotStableOptimum(f"{profile} is not a stable social optimum")
-    alpha, _ = _optimum_alpha(g, profile)
-    return alpha
+    move = _steepest_move(game._kernel, _stable_cell(game, profile))
+    return ZERO if move is None else Fraction(move[0], move[1])
 
 
 def selfishness_level(game: Game) -> LevelResult:
@@ -336,22 +276,19 @@ def selfishness_level(game: Game) -> LevelResult:
     witness optimum is the lexicographically first stable social optimum
     attaining the minimum.
     """
-    g = _maximizing(game)
-    stable = _stable_social_optima_max(g)
-    if not stable:
+    kernel = game._kernel
+    if not kernel.stable:
         return LevelResult.infinite()
-    best_alpha: Fraction | None = None
-    best_profile: Profile | None = None
-    best_deviation: DeviationRecord | None = None
-    for s in stable:
-        alpha, deviation = _optimum_alpha(g, s)
-        if best_alpha is None or alpha < best_alpha:
-            best_alpha, best_profile, best_deviation = alpha, s, deviation
-            if best_alpha == 0:
-                break
-    if best_alpha == 0:
-        return LevelResult.zero(best_profile)
-    return LevelResult.finite(best_alpha, best_profile, best_deviation)
+    best = best_cell = None
+    for cell in kernel.stable:
+        move = _steepest_move(kernel, cell)
+        if move is None:
+            return LevelResult.zero(kernel.profile(cell))
+        if best is None or move[0] * best[1] < best[0] * move[1]:
+            best, best_cell = move, cell
+    gain, drop, player, target = best
+    return LevelResult.finite(Fraction(gain, drop), kernel.profile(best_cell),
+                              _deviation_record(kernel, best_cell, player, target))
 
 
 def is_alpha_selfish(game: Game, alpha) -> bool:
@@ -368,8 +305,18 @@ def is_alpha_selfish(game: Game, alpha) -> bool:
 # prices of stability and anarchy
 # ---------------------------------------------------------------------------
 
-def _equilibrium_values(game: Game) -> list[Fraction]:
-    return [game.social_value(ne) for ne in pure_nash(game)]
+def _price(game: Game, pick) -> Fraction | None:
+    """Optimum against the equilibrium welfare that ``pick`` selects."""
+    kernel = game._kernel
+    if not kernel.nash:
+        return None
+    equilibrium = pick(kernel.welfare[c] for c in kernel.nash)
+    optimum = kernel.best_welfare
+    # The common denominator cancels; for cost games both scaled welfares
+    # are negated social costs, so their ratio is the cost ratio.
+    if game.orientation is Orientation.PAYOFF_MAX:
+        return Fraction(optimum, equilibrium) if equilibrium > 0 else None
+    return Fraction(equilibrium, optimum) if optimum < 0 else None
 
 
 def price_of_stability(game: Game) -> Fraction | None:
@@ -378,28 +325,12 @@ def price_of_stability(game: Game) -> Fraction | None:
     None when the game has no pure Nash equilibrium or the ratio's
     denominator is not positive.
     """
-    values = _equilibrium_values(game)
-    if not values:
-        return None
-    optimum = social_optimum_value(game)
-    if game.orientation is Orientation.PAYOFF_MAX:
-        best = max(values)
-        return optimum / best if best > 0 else None
-    best = min(values)
-    return best / optimum if optimum > 0 else None
+    return _price(game, max)
 
 
 def price_of_anarchy(game: Game) -> Fraction | None:
     """Optimum-to-worst-equilibrium social value ratio (>= 1), or None."""
-    values = _equilibrium_values(game)
-    if not values:
-        return None
-    optimum = social_optimum_value(game)
-    if game.orientation is Orientation.PAYOFF_MAX:
-        worst = min(values)
-        return optimum / worst if worst > 0 else None
-    worst = max(values)
-    return worst / optimum if optimum > 0 else None
+    return _price(game, min)
 
 
 def selfishness_function(game: Game, alphas: Iterable) -> list[tuple[Fraction, Fraction | None]]:
@@ -442,13 +373,17 @@ def symmetric_selfishness_level(
     strategy space at a fraction of the cost.
     """
     n, m = player_count, strategy_count
+    if n < 2:
+        raise PlayerCountTooSmall(f"a strategic game needs more than one player, got {n}")
+    if m < 1:
+        raise EmptyStrategySet("the players have no strategies")
     sign = 1 if orientation is Orientation.PAYOFF_MAX else -1
     cache: dict[tuple[int, tuple[int, ...]], Fraction] = {}
 
     def pay(j: int, rest: tuple[int, ...]) -> Fraction:
         key = (j, rest)
         if key not in cache:
-            cache[key] = sign * payoff(j, rest)
+            cache[key] = sign * parse_rational(payoff(j, rest))
         return cache[key]
 
     def counts_of(profile: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,13 +1,22 @@
 """Finite normal-form games over exact rational payoffs.
 
 A game is either payoff-maximizing or cost-minimizing and stores one
-dense payoff vector per joint strategy.  All numbers are
-``fractions.Fraction``; nothing in this package ever rounds.
+dense payoff vector per joint strategy as ``fractions.Fraction`` values;
+nothing in this package ever rounds.
+
+The analysis kernels do not work on the Fractions.  Each game compiles
+once, on first analysis, into scaled integers: every value times the
+least common denominator of the table, negated for cost games, so that
+larger is always better.  A positive scaling and a uniform sign flip
+change no equilibrium, optimum or stable optimum, and an appeal factor
+is a ratio in which the common denominator cancels, so results stay
+exact; Fractions reappear only in the values a caller gets back.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -195,6 +204,10 @@ class Game:
             strides[i] = strides[i + 1] * self.strategy_counts[i + 1]
         return tuple(strides)
 
+    @cached_property
+    def _kernel(self) -> "_Kernel":
+        return _Kernel(self)
+
     def flat_index(self, profile: Profile) -> int:
         counts = self.strategy_counts
         if len(profile) != len(counts):
@@ -265,8 +278,7 @@ class Game:
         """Flip orientation and negate every value.
 
         A cost game and its negation have the same equilibria, optima,
-        and deviation structure, which gives the analysis code a single
-        maximizing code path.
+        and deviation structure.
         """
         flipped = (
             Orientation.COST_MIN
@@ -278,3 +290,68 @@ class Game:
             self.strategy_labels,
             tuple(tuple(-v for v in vec) for vec in self.payoffs),
         )
+
+
+class _Kernel:
+    """A game's values as integers in maximizing sign, for the analysis code.
+
+    ``values[i][c]`` is player i's value at flat cell c times
+    ``denominator`` (the least common denominator of the table), negated
+    for cost games; ``welfare[c]`` is the sum over players.  Cells are
+    flat indices, so ascending order is lexicographic profile order.
+    The equilibria, the optima and the stable optima are computed at
+    most once, on first use.
+    """
+
+    def __init__(self, game: Game):
+        denominators = {v.denominator for vec in game.payoffs for v in vec}
+        self.denominator = math.lcm(*denominators)
+        self.sign = 1 if game.orientation is Orientation.PAYOFF_MAX else -1
+        factor = {d: self.sign * (self.denominator // d) for d in denominators}
+        self.values = tuple(
+            [v.numerator * factor[v.denominator] for v in column]
+            for column in zip(*game.payoffs)
+        )
+        self.welfare = [sum(vec) for vec in zip(*self.values)]
+        self.counts = game.strategy_counts
+        self.strides = game._strides
+
+    def native(self, value: int) -> Fraction:
+        """A scaled integer back in the game's own units and sign."""
+        return Fraction(self.sign * value, self.denominator)
+
+    def profile(self, cell: int) -> Profile:
+        return tuple(cell // stride % m for stride, m in zip(self.strides, self.counts))
+
+    def moves(self, cell: int, player: int) -> list[int]:
+        """The cells ``player`` reaches from ``cell`` by a strictly improving
+        unilateral deviation, in the order of the deviator's strategies."""
+        stride, m = self.strides[player], self.counts[player]
+        values = self.values[player]
+        start = cell - cell // stride % m * stride
+        base = values[cell]
+        return [t for t in range(start, start + m * stride, stride) if values[t] > base]
+
+    @cached_property
+    def best_welfare(self) -> int:
+        return max(self.welfare)
+
+    @cached_property
+    def optima(self) -> list[int]:
+        best = self.best_welfare
+        return [c for c, w in enumerate(self.welfare) if w == best]
+
+    @cached_property
+    def stable(self) -> list[int]:
+        """Optima from which no player improves by moving to another optimum."""
+        optimal = set(self.optima)
+        return [c for c in self.optima
+                if not any(t in optimal
+                           for i in range(len(self.values)) for t in self.moves(c, i))]
+
+    @cached_property
+    def nash(self) -> list[int]:
+        cells = range(len(self.welfare))
+        for i in range(len(self.values)):
+            cells = [c for c in cells if not self.moves(c, i)]
+        return cells

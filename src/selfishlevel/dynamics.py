@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Game, Orientation, Profile
+from .core import Game, Profile
 from .errors import ExplosionGuard
 from .families import DEFAULT_CELL_CAP
 
@@ -40,20 +40,13 @@ def improvement_graph(game: Game, cap: int = DEFAULT_CELL_CAP) -> ImprovementGra
         raise ExplosionGuard(
             f"improvement graph would have {game.cell_count} nodes, exceeding {cap}"
         )
-    g = game if game.orientation is Orientation.PAYOFF_MAX else game.negated()
-    nodes = tuple(g.joint_strategies())
-    successors: dict[Profile, tuple[Profile, ...]] = {}
-    for s in nodes:
-        vec = g.payoff_vector(s)
-        targets = []
-        for i, m in enumerate(g.strategy_counts):
-            for alt in range(m):
-                if alt == s[i]:
-                    continue
-                t = s[:i] + (alt,) + s[i + 1:]
-                if g.payoff(t, i) > vec[i]:
-                    targets.append(t)
-        successors[s] = tuple(targets)
+    kernel = game._kernel
+    nodes = tuple(game.joint_strategies())
+    players = range(game.player_count)
+    successors = {
+        s: tuple(nodes[t] for i in players for t in kernel.moves(k, i))
+        for k, s in enumerate(nodes)
+    }
     return ImprovementGraph(nodes, successors)
 
 
@@ -77,15 +70,8 @@ def _topological_order(graph: ImprovementGraph) -> list[Profile] | None:
     return order
 
 
-def has_fip(game: Game, cap: int = DEFAULT_CELL_CAP) -> bool:
-    """Whether every improvement path is finite (graph acyclicity)."""
-    return _topological_order(improvement_graph(game, cap)) is not None
-
-
-def is_weakly_acyclic(game: Game, cap: int = DEFAULT_CELL_CAP) -> bool:
-    """Whether a finite improvement path to an equilibrium starts at every
-    joint strategy (backward reachability from the sinks)."""
-    graph = improvement_graph(game, cap)
+def _reaches_sinks(graph: ImprovementGraph) -> bool:
+    """Whether every node has a path to a sink (backward reachability)."""
     predecessors: dict[Profile, list[Profile]] = {s: [] for s in graph.nodes}
     for s, targets in graph.successors.items():
         for t in targets:
@@ -101,6 +87,17 @@ def is_weakly_acyclic(game: Game, cap: int = DEFAULT_CELL_CAP) -> bool:
     return len(reached) == len(graph.nodes)
 
 
+def has_fip(game: Game, cap: int = DEFAULT_CELL_CAP) -> bool:
+    """Whether every improvement path is finite (graph acyclicity)."""
+    return _topological_order(improvement_graph(game, cap)) is not None
+
+
+def is_weakly_acyclic(game: Game, cap: int = DEFAULT_CELL_CAP) -> bool:
+    """Whether a finite improvement path to an equilibrium starts at every
+    joint strategy (backward reachability from the sinks)."""
+    return _reaches_sinks(improvement_graph(game, cap))
+
+
 def ordinal_potential_certificate(game: Game,
                                   cap: int = DEFAULT_CELL_CAP) -> dict[Profile, int] | None:
     """An assignment that strictly increases along every improvement edge.
@@ -110,8 +107,7 @@ def ordinal_potential_certificate(game: Game,
     small integers (any strictly monotone relabeling is equally valid).
     None when the graph has a cycle.
     """
-    graph = improvement_graph(game, cap)
-    order = _topological_order(graph)
+    order = _topological_order(improvement_graph(game, cap))
     if order is None:
         return None
     return {s: rank for rank, s in enumerate(order)}

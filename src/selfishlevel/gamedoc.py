@@ -241,13 +241,14 @@ def analyze_report(doc: GameDocument) -> dict:
 
 
 def dynamics_report(doc: GameDocument, cap: int) -> dict:
-    game = doc.game
-    certificate = dynamics.ordinal_potential_certificate(game, cap)
+    graph = dynamics.improvement_graph(doc.game, cap)
+    # A potential certificate exists exactly when a topological order does.
+    acyclic = dynamics._topological_order(graph) is not None
     return {
         "game": document_to_obj(doc),
-        "finite_improvement_property": dynamics.has_fip(game, cap),
-        "weakly_acyclic": dynamics.is_weakly_acyclic(game, cap),
-        "ordinal_potential_certificate": certificate is not None,
+        "finite_improvement_property": acyclic,
+        "weakly_acyclic": dynamics._reaches_sinks(graph),
+        "ordinal_potential_certificate": acyclic,
     }
 
 

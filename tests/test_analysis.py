@@ -29,10 +29,17 @@ from selfishlevel import (
     upper_contour,
 )
 from selfishlevel import GeneralizedPD
-from selfishlevel.errors import NotImproving, NotStableOptimum
+from selfishlevel.errors import (
+    EmptyStrategySet,
+    GameError,
+    NotImproving,
+    NotStableOptimum,
+    PlayerCountTooSmall,
+)
 
 from oracles import (
     naive_is_alpha_selfish,
+    naive_is_nash,
     naive_level_by_alpha_search,
     naive_pure_nash,
     naive_social_optima,
@@ -42,6 +49,32 @@ from oracles import (
 )
 
 CORPUS = random_game_corpus(seed=2024, size=60)
+
+
+# The tables of the first 30 corpus games, read as payoffs and as costs.
+ORIENTED = [Game(orientation, game.strategy_labels, game.payoffs)
+            for game in CORPUS[:30] for orientation in Orientation]
+
+
+def coprime_corpus(seed: int, size: int) -> list[Game]:
+    """Random tables, each in both orientations, whose values have
+    denominators 5, 7, 11 and 13, so that a table's common denominator
+    is large."""
+    rng = random.Random(seed)
+    games = []
+    for _ in range(size):
+        counts = [rng.randint(2, 3) for _ in range(rng.randint(2, 3))]
+        labels = tuple(tuple(f"s{j}" for j in range(m)) for m in counts)
+        cells = tuple(
+            tuple(Fraction(rng.randint(-30, 30), rng.choice((5, 7, 11, 13)))
+                  for _ in counts)
+            for _ in itertools.product(*map(range, counts))
+        )
+        games += [Game(orientation, labels, cells) for orientation in Orientation]
+    return games
+
+
+COPRIME = coprime_corpus(seed=5711, size=20)
 
 
 class TestPureNash:
@@ -58,7 +91,7 @@ class TestPureNash:
         assert pure_nash(no_nash) == []
 
     def test_agrees_with_definition_oracle(self):
-        for game in CORPUS[:30]:
+        for game in ORIENTED:
             assert pure_nash(game) == naive_pure_nash(game)
 
     def test_cost_orientation(self):
@@ -77,7 +110,7 @@ class TestSocialOptima:
         assert social_optima(battle_of_sexes) == [(0, 0), (1, 1)]
 
     def test_agrees_with_definition_oracle(self):
-        for game in CORPUS[:30]:
+        for game in ORIENTED:
             assert social_optima(game) == naive_social_optima(game)
 
 
@@ -92,7 +125,7 @@ class TestStableSocialOptima:
         assert stable_social_optima(battle_of_sexes) == [(0, 0), (1, 1)]
 
     def test_agrees_with_definition_oracle(self):
-        for game in CORPUS[:30]:
+        for game in ORIENTED:
             assert stable_social_optima(game) == naive_stable_social_optima(game)
 
 
@@ -317,6 +350,50 @@ class TestCharacterization:
                 assert searched == result.level()
 
 
+class TestCoprimeDenominators:
+    """Values over denominators 5, 7, 11 and 13 in both orientations, so a
+    slip in the sign or the common denominator shows against the oracles."""
+
+    def test_level_equals_alpha_search(self):
+        kinds = set()
+        for game in COPRIME:
+            result = selfishness_level(game)
+            kinds.add(result.kind)
+            assert result.level() == naive_level_by_alpha_search(game)
+        assert {LevelKind.ZERO, LevelKind.FINITE} <= kinds
+
+    def test_is_nash_at_every_profile(self):
+        for game in COPRIME:
+            for s in game.joint_strategies():
+                assert is_nash(game, s) == naive_is_nash(game, s)
+
+    @staticmethod
+    def _assert_native(game, record):
+        s = record.profile
+        t = s[:record.player] + (record.to_strategy,) + s[record.player + 1:]
+        before = game.payoffs[game.flat_index(s)]
+        after = game.payoffs[game.flat_index(t)]
+        gain = after[record.player] - before[record.player]
+        drop = sum(before, Fraction(0)) - sum(after, Fraction(0))
+        if game.orientation is Orientation.COST_MIN:
+            gain, drop = -gain, -drop
+        assert (record.payoff_gain, record.welfare_drop) == (gain, drop)
+        assert record.appeal_factor == gain / drop
+
+    def test_witnesses_in_native_units(self):
+        witnesses = 0
+        for game in COPRIME:
+            result = selfishness_level(game)
+            if result.witness_deviation is not None:
+                self._assert_native(game, result.witness_deviation)
+                witnesses += 1
+            for s in stable_social_optima(game):
+                for i in range(game.player_count):
+                    for alt in upper_contour(game, s, i).strategies:
+                        self._assert_native(game, appeal_factor(game, s, i, alt))
+        assert witnesses
+
+
 class TestPrices:
     def test_pd(self, pd):
         assert price_of_stability(pd) == 2
@@ -425,6 +502,18 @@ class TestSymmetricReduction:
             compact = symmetric_selfishness_level(n, m, payoff)
             assert dense.kind is compact.kind
             assert dense.level() == compact.level()
+
+    def test_float_payoff_rejected(self):
+        with pytest.raises(GameError):
+            symmetric_selfishness_level(3, 2, lambda j, rest: 1.0 - j + 2.0 * rest[1])
+
+    def test_single_player_rejected(self):
+        with pytest.raises(PlayerCountTooSmall):
+            symmetric_selfishness_level(1, 2, lambda j, rest: Fraction(j))
+
+    def test_no_strategies_rejected(self):
+        with pytest.raises(EmptyStrategySet):
+            symmetric_selfishness_level(2, 0, lambda j, rest: Fraction(0))
 
     def test_matches_dense_engine_on_public_goods(self):
         spec = PublicGoodsGrid(n=3, b=2, c=Fraction(3, 2), grid_steps=3)

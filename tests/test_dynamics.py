@@ -8,7 +8,9 @@ from selfishlevel import (
     Congestion,
     CostSharing,
     FLevelGame,
+    Game,
     LevelKind,
+    Orientation,
     TightFamily,
     generate,
     has_fip,
@@ -21,7 +23,7 @@ from selfishlevel import (
 )
 from selfishlevel.errors import ExplosionGuard
 
-from oracles import random_game_corpus
+from oracles import naive_pure_nash, random_game_corpus
 
 CORPUS = random_game_corpus(seed=777, size=40)
 
@@ -51,8 +53,11 @@ class TestImprovementGraph:
         assert improvement_graph(battle_of_sexes).sinks() == [(0, 0), (1, 1)]
 
     def test_sinks_equal_pure_nash(self):
-        for game in CORPUS:
-            assert improvement_graph(game).sinks() == pure_nash(game)
+        for table in CORPUS:
+            for orientation in Orientation:
+                game = Game(orientation, table.strategy_labels, table.payoffs)
+                sinks = improvement_graph(game).sinks()
+                assert sinks == pure_nash(game) == naive_pure_nash(game)
 
     def test_cost_orientation_edges_follow_cost_decrease(self):
         spec = tight_instance(TightFamily.COST_SHARING_SINGLETON, c_max=10, c_min=1)
