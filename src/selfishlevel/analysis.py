@@ -16,6 +16,13 @@ The kernels run on each game's scaled-integer form (see ``core``), in
 which cost games are negated so that larger is always better; reported
 gains and drops are converted back to native units, so for cost games
 they are the cost decrease and the social-cost increase, both positive.
+
+Queries at an altruism share alpha = p/q (``is_alpha_selfish``,
+``selfishness_function``) run on the same kernel, never on a transformed
+game: the altruistic payoff p_i + alpha*SW, scaled by the kernel's
+positive factor and by q, is the integer q*v_i + p*W.  A positive
+rescaling keeps every equilibrium and optimum, so the answers equal
+those computed on ``transforms.altruistic(game, alpha)``.
 """
 
 from __future__ import annotations
@@ -291,26 +298,38 @@ def selfishness_level(game: Game) -> LevelResult:
                               _deviation_record(kernel, best_cell, player, target))
 
 
+def _share(alpha) -> Fraction:
+    alpha = parse_rational(alpha)
+    if alpha < 0:
+        raise NegativeAlpha(f"altruism share must be >= 0, got {alpha}")
+    return alpha
+
+
 def is_alpha_selfish(game: Game, alpha) -> bool:
     """Whether the altruistic version at ``alpha`` has an equilibrium that
-    is a social optimum of the original game (the two optimum sets agree)."""
-    from .transforms import altruistic
+    is a social optimum of the original game (the two optimum sets agree).
 
-    transformed = altruistic(game, alpha)
-    optima = set(social_optima(game))
-    return any(ne in optima for ne in pure_nash(transformed))
+    The altruistic game is never built: the kernel's optima are tested
+    for equilibrium on ``q * v_i + p * W`` at alpha = p/q.
+    """
+    alpha = _share(alpha)
+    kernel = game._kernel
+    return bool(kernel.equilibria(alpha.numerator, alpha.denominator, kernel.optima))
 
 
 # ---------------------------------------------------------------------------
 # prices of stability and anarchy
 # ---------------------------------------------------------------------------
 
-def _price(game: Game, pick) -> Fraction | None:
-    """Optimum against the equilibrium welfare that ``pick`` selects."""
+def _price(game: Game, pick, equilibria: list[int] | None = None) -> Fraction | None:
+    """Optimum against the welfare that ``pick`` selects among the
+    equilibrium cells ``equilibria`` (default: the game's own)."""
     kernel = game._kernel
-    if not kernel.nash:
+    if equilibria is None:
+        equilibria = kernel.nash
+    if not equilibria:
         return None
-    equilibrium = pick(kernel.welfare[c] for c in kernel.nash)
+    equilibrium = pick(kernel.welfare[c] for c in equilibria)
     optimum = kernel.best_welfare
     # The common denominator cancels; for cost games both scaled welfares
     # are negated social costs, so their ratio is the cost ratio.
@@ -338,15 +357,18 @@ def selfishness_function(game: Game, alphas: Iterable) -> list[tuple[Fraction, F
 
     The selfishness level is the least share at which this function
     first equals 1.  Pairs are returned in input order.
-    """
-    from .transforms import altruistic
 
+    No altruistic game is built: its equilibria at alpha = p/q are those
+    of ``q * v_i + p * W`` on the kernel, and its social value is
+    ``(1 + n * alpha)`` times the game's, a positive factor that cancels
+    in the price and keeps the price's sign tests.
+    """
+    kernel = game._kernel
     out = []
     for raw in alphas:
-        alpha = parse_rational(raw)
-        if alpha < 0:
-            raise NegativeAlpha(f"altruism share must be >= 0, got {alpha}")
-        out.append((alpha, price_of_stability(altruistic(game, alpha))))
+        alpha = _share(raw)
+        equilibria = kernel.equilibria(alpha.numerator, alpha.denominator) if alpha else None
+        out.append((alpha, _price(game, max, equilibria)))
     return out
 
 

@@ -6,7 +6,8 @@ omitted means standard input) and reports are written to standard
 output, so generate/transform pipe into the analysis commands.
 
 Exit codes: 0 on success, 2 on parse or validation errors, 3 when a
-generation would exceed the joint-strategy cell cap.
+generated game or an input document would exceed the joint-strategy
+cell cap (``--cap``).
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def _closed_form_spec(name: str, params: dict):
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    doc = gamedoc.parse_game_document(_read_text(args.file))
+    doc = gamedoc.parse_game_document(_read_text(args.file), args.cap)
     started = time.perf_counter()
     body = gamedoc.analyze_report(doc)
     elapsed = time.perf_counter() - started
@@ -156,7 +157,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_level(args) -> int:
-    doc = gamedoc.parse_game_document(_read_text(args.file))
+    doc = gamedoc.parse_game_document(_read_text(args.file), args.cap)
     result = analysis.selfishness_level(doc.game)
     sys.stdout.write(result.render() + "\n")
     return 0
@@ -194,7 +195,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
-    doc = gamedoc.parse_game_document(_read_text(args.file))
+    doc = gamedoc.parse_game_document(_read_text(args.file), args.cap)
     started = time.perf_counter()
     body = gamedoc.dynamics_report(doc, args.cap)
     elapsed = time.perf_counter() - started
@@ -203,7 +204,7 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = gamedoc.parse_game_document(_read_text(args.file))
+    doc = gamedoc.parse_game_document(_read_text(args.file), args.cap)
     alphas = [parse_rational(part) for part in args.alphas.split(",") if part]
     if not alphas:
         raise ParamOutOfRange("--alphas needs at least one value")
@@ -244,10 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="equilibria, optima, level, prices")
     add_file(p)
+    add_cap(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("level", help="print the selfishness level: 0, p/q, or inf")
     add_file(p)
+    add_cap(p)
     p.set_defaults(func=cmd_level)
 
     p = sub.add_parser("transform", help="altruistic / shift / scale / inverse transform")
@@ -275,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="price of stability of the altruistic versions")
     add_file(p)
     p.add_argument("--alphas", required=True, help="comma-separated altruism shares")
+    add_cap(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("closedform", help="analytic level or bound for a family")

@@ -349,9 +349,29 @@ class _Kernel:
                 if not any(t in optimal
                            for i in range(len(self.values)) for t in self.moves(c, i))]
 
+    def equilibria(self, p: int = 0, q: int = 1, cells: Iterable[int] | None = None) -> list[int]:
+        """The cells of ``cells`` (default: all, ascending) that are pure Nash
+        equilibria of the altruistic game at share p/q (q > 0, p >= 0).
+
+        Player i's value there is a positive multiple of
+        ``q * values[i][c] + p * welfare[c]``, so comparing those integers
+        along the player's stride axis decides every deviation exactly.
+        """
+        welfare = self.welfare
+        cells = range(len(welfare)) if cells is None else cells
+        for i, values in enumerate(self.values):
+            if p:
+                values = [q * v + p * w for v, w in zip(values, welfare)]
+            stride, m = self.strides[i], self.counts[i]
+            span = m * stride
+            kept = []
+            for c in cells:
+                start = c - c // stride % m * stride
+                if max(values[start:start + span:stride]) <= values[c]:
+                    kept.append(c)
+            cells = kept
+        return cells
+
     @cached_property
     def nash(self) -> list[int]:
-        cells = range(len(self.welfare))
-        for i in range(len(self.values)):
-            cells = [c for c in cells if not self.moves(c, i)]
-        return cells
+        return self.equilibria()

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import analysis, dynamics
+from . import analysis, dynamics, families
 from .core import Game, Orientation, Profile, format_rational
 from .errors import (
     DocumentSyntaxError,
@@ -127,8 +127,12 @@ def _parse_sparse(entries, orientation, labels) -> Game:
     return Game.from_profile_map(orientation, labels, cells)
 
 
-def parse_game_document(text: str) -> GameDocument:
-    """Parse and validate a game document; errors carry position or context."""
+def parse_game_document(text: str, cap: int | None = None) -> GameDocument:
+    """Parse and validate a game document; errors carry position or context.
+
+    With a ``cap``, a document declaring more than ``cap`` joint strategies
+    raises ExplosionGuard before its payoff tensor is read.
+    """
     obj = _load_json(text)
     if not isinstance(obj, dict):
         raise GameDocumentError("document root must be an object")
@@ -140,6 +144,8 @@ def parse_game_document(text: str) -> GameDocument:
             f"orientation must be 'payoff' or 'cost', got {raw_orientation!r}"
         ) from None
     names, labels = _parse_players(obj)
+    if cap is not None:
+        families._guard([len(per_player) for per_player in labels], cap)
     payoffs = obj.get("payoffs")
     if payoffs is None:
         raise GameDocumentError("document needs a 'payoffs' field")

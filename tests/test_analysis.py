@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,10 +29,11 @@ from selfishlevel import (
     symmetric_selfishness_level,
     upper_contour,
 )
-from selfishlevel import GeneralizedPD
+from selfishlevel import GeneralizedPD, gamedoc, transforms
 from selfishlevel.errors import (
     EmptyStrategySet,
     GameError,
+    NegativeAlpha,
     NotImproving,
     NotStableOptimum,
     PlayerCountTooSmall,
@@ -41,6 +43,7 @@ from oracles import (
     naive_is_alpha_selfish,
     naive_is_nash,
     naive_level_by_alpha_search,
+    naive_level_candidates,
     naive_pure_nash,
     naive_social_optima,
     naive_stable_social_optima,
@@ -75,6 +78,8 @@ def coprime_corpus(seed: int, size: int) -> list[Game]:
 
 
 COPRIME = coprime_corpus(seed=5711, size=20)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestPureNash:
@@ -467,6 +472,66 @@ class TestSelfishnessFunction:
                 continue
             table = selfishness_function(game, [result.level()])
             assert table[0][1] == 1
+
+
+def _probe_shares(game: Game) -> list[Fraction]:
+    """Every level candidate, the midpoints between consecutive ones, twice
+    the largest, and one share with a large prime denominator."""
+    candidates = naive_level_candidates(game)
+    midpoints = [(a + b) / 2 for a, b in itertools.pairwise(candidates)]
+    return candidates + midpoints + [2 * candidates[-1], Fraction(1, 997)]
+
+
+class TestAltruismSharesOnBaseKernel:
+    """Share queries answered on the game's own kernel equal the same
+    queries on the materialised altruistic game."""
+
+    GAMES = [Game(orientation, game.strategy_labels, game.payoffs)
+             for game in CORPUS for orientation in Orientation] + COPRIME
+
+    def test_selfishness_function_matches_transformed_game(self):
+        for game in self.GAMES:
+            assert selfishness_function(game, [0]) == [(0, price_of_stability(game))]
+            for alpha in _probe_shares(game):
+                expected = price_of_stability(altruistic(game, alpha))
+                assert selfishness_function(game, [alpha]) == [(alpha, expected)]
+
+    def test_is_alpha_selfish_matches_transformed_game(self):
+        for game in self.GAMES:
+            optima = set(social_optima(game))
+            for alpha in _probe_shares(game):
+                transformed = any(s in optima for s in pure_nash(altruistic(game, alpha)))
+                assert is_alpha_selfish(game, alpha) == naive_is_alpha_selfish(game, alpha)
+                assert is_alpha_selfish(game, alpha) == transformed
+
+    @pytest.mark.parametrize("fixture", ["prisoners_dilemma.json", "cost_sharing_tight.json"])
+    def test_no_altruistic_game_is_built(self, fixture, monkeypatch):
+        doc = gamedoc.parse_game_document((FIXTURES / fixture).read_text())
+        game = doc.game
+        level = selfishness_level(game).level()
+        alphas = [Fraction(0), level / 2, level, 2 * level]
+        optima = set(social_optima(game))
+        selfish = [any(s in optima for s in pure_nash(altruistic(game, a))) for a in alphas]
+        table = [(a, price_of_stability(altruistic(game, a))) for a in alphas]
+        report = gamedoc.sweep_report(doc, alphas)
+
+        def forbidden(*args):
+            raise AssertionError("an altruistic game was built")
+
+        monkeypatch.setattr(transforms, "altruistic", forbidden)
+        monkeypatch.setattr(Game, "with_payoffs", forbidden)
+        fresh = gamedoc.parse_game_document((FIXTURES / fixture).read_text())
+        assert [is_alpha_selfish(fresh.game, a) for a in alphas] == selfish
+        assert selfishness_function(fresh.game, alphas) == table
+        assert gamedoc.sweep_report(fresh, alphas) == report
+        with pytest.raises(NegativeAlpha):
+            is_alpha_selfish(fresh.game, -1)
+        with pytest.raises(NegativeAlpha):
+            selfishness_function(fresh.game, [0, Fraction(-1, 2)])
+        with pytest.raises(GameError):
+            is_alpha_selfish(fresh.game, 0.5)
+        with pytest.raises(GameError):
+            selfishness_function(fresh.game, [0.5])
 
 
 def _expand_symmetric(n, m, payoff) -> Game:

@@ -216,6 +216,19 @@ class TestExitCodes:
         code, _, _ = cli(["generate", "pd_n", "--param", "n=3", "--cap", "4"])
         assert code == 3
 
+    @pytest.mark.parametrize("argv,fixture", [
+        (["analyze"], "prisoners_dilemma.json"),
+        (["level"], "battle_of_sexes_sparse.json"),
+        (["sweep", "--alphas", "0,1"], "prisoners_dilemma.json"),
+    ])
+    def test_document_over_cap_is_three(self, cli, argv, fixture):
+        path = str(FIXTURES / fixture)
+        code, _, err = cli([*argv, path, "--cap", "3"])
+        assert code == 3
+        assert "exceeding the cap of 3" in err
+        code, _, _ = cli([*argv, path, "--cap", "4"])
+        assert code == 0
+
 
 def test_console_entry_point_round_trip(tmp_path):
     """One end-to-end run through real pipes."""

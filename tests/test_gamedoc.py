@@ -14,8 +14,10 @@ from selfishlevel import (
     render_report,
 )
 from selfishlevel.errors import (
+    DimensionMismatch,
     DocumentSyntaxError,
     DuplicateProfile,
+    ExplosionGuard,
     GameDocumentError,
     MissingProfile,
     ZeroDenominator,
@@ -80,6 +82,14 @@ class TestParsing:
         obj["orientation"] = "utility"
         with pytest.raises(GameDocumentError):
             parse_game(json.dumps(obj))
+
+    def test_cap_checked_before_payoffs(self):
+        obj = json.loads(fixture_text("prisoners_dilemma.json"))
+        obj["payoffs"] = "never read"
+        with pytest.raises(ExplosionGuard):
+            parse_game_document(json.dumps(obj), cap=3)
+        with pytest.raises(DimensionMismatch):
+            parse_game_document(json.dumps(obj), cap=4)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir()))
