@@ -16,6 +16,9 @@ The kernels run on each game's scaled-integer form (see ``core``), in
 which cost games are negated so that larger is always better; reported
 gains and drops are converted back to native units, so for cost games
 they are the cost decrease and the social-cost increase, both positive.
+One level engine, ``_level``, serves the dense table of a game
+(``selfishness_level``) and the orbit space of a compact symmetric game
+(``symmetric_selfishness_level``), so both pick the same witnesses.
 
 Queries at an altruism share alpha = p/q (``is_alpha_selfish``,
 ``selfishness_function``) run on the same kernel, never on a transformed
@@ -27,13 +30,12 @@ those computed on ``transforms.altruistic(game, alpha)``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .core import Game, Orientation, Profile, parse_rational
+from .core import ZERO, Game, Orientation, Profile, _Orbits, parse_rational
 from .errors import (
     EmptyStrategySet,
     GameError,
@@ -43,8 +45,6 @@ from .errors import (
     NotStableOptimum,
     PlayerCountTooSmall,
 )
-
-ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +221,12 @@ def _stable_cell(game: Game, profile: Profile) -> int:
     return game.flat_index(profile)
 
 
-def _deviation_record(kernel, cell: int, player: int, target: int) -> DeviationRecord:
-    gain = kernel.values[player][target] - kernel.values[player][cell]
-    drop = kernel.welfare[cell] - kernel.welfare[target]
+def _deviation_record(space, cell: int, move: tuple[int, int, int, int]) -> DeviationRecord:
+    player, to_strategy, target, gain = move
+    drop = space.welfare[cell] - space.welfare[target]
     return DeviationRecord(
-        player, kernel.profile(cell), kernel.profile(target)[player],
-        Fraction(gain, kernel.denominator), Fraction(drop, kernel.denominator),
+        player, space.profile(cell), to_strategy,
+        Fraction(gain, space.denominator), Fraction(drop, space.denominator),
         Fraction(gain, drop),
     )
 
@@ -241,29 +241,15 @@ def appeal_factor(game: Game, profile: Profile, player: int,
     """
     cell = _stable_cell(game, profile)
     _check_player(game, player)
-    target = game.flat_index(profile[:player] + (to_strategy,) + profile[player + 1:])
-    if target not in game._kernel.moves(cell, player):
-        raise NotImproving(
-            f"strategy {to_strategy} does not improve player {player} at {profile}"
-        )
-    return _deviation_record(game._kernel, cell, player, target)
-
-
-def _steepest_move(kernel, cell: int) -> tuple[int, int, int, int] | None:
-    """The improving deviation of largest appeal factor at a stable optimum.
-
-    Returns (gain, drop, player, target cell) in scaled integers, the
-    first in (player, strategy) order among equal factors, or None when
-    no player has a strictly improving deviation.
-    """
-    best = None
-    for i, values in enumerate(kernel.values):
-        for t in kernel.moves(cell, i):
-            gain = values[t] - values[cell]
-            drop = kernel.welfare[cell] - kernel.welfare[t]
-            if best is None or gain * best[1] > best[0] * drop:
-                best = (gain, drop, i, t)
-    return best
+    if not 0 <= to_strategy < game.strategy_counts[player]:
+        raise IndexOutOfRange(f"strategy index {to_strategy} out of range for player {player}")
+    kernel = game._kernel
+    for move in kernel.deviations(cell):
+        if move[:2] == (player, to_strategy):
+            return _deviation_record(kernel, cell, move)
+    raise NotImproving(
+        f"strategy {to_strategy} does not improve player {player} at {profile}"
+    )
 
 
 def stabilizing_alpha(game: Game, profile: Profile) -> Fraction:
@@ -272,8 +258,35 @@ def stabilizing_alpha(game: Game, profile: Profile) -> Fraction:
     Zero when the optimum already is a Nash equilibrium; otherwise the
     maximum appeal factor over all improving deviations at it.
     """
-    move = _steepest_move(game._kernel, _stable_cell(game, profile))
-    return ZERO if move is None else Fraction(move[0], move[1])
+    cell = _stable_cell(game, profile)
+    kernel = game._kernel
+    return max((Fraction(gain, kernel.welfare[cell] - kernel.welfare[t])
+                for _, _, t, gain in kernel.deviations(cell)), default=ZERO)
+
+
+def _level(space) -> LevelResult:
+    """The level on a profile space (see ``core._Space``).
+
+    Over the stable optima in cell order, the least largest appeal
+    factor; ties keep the first optimum and, at it, the first deviation
+    in (player, strategy) order.
+    """
+    best = None
+    for cell in space.stable:
+        steepest = None
+        for move in space.deviations(cell):
+            drop = space.welfare[cell] - space.welfare[move[2]]
+            if steepest is None or move[3] * steepest[1] > steepest[0] * drop:
+                steepest = (move[3], drop, cell, move)
+        if steepest is None:
+            return LevelResult.zero(space.profile(cell))
+        if best is None or steepest[0] * best[1] < best[0] * steepest[1]:
+            best = steepest
+    if best is None:
+        return LevelResult.infinite()
+    gain, drop, cell, move = best
+    return LevelResult.finite(Fraction(gain, drop), space.profile(cell),
+                              _deviation_record(space, cell, move))
 
 
 def selfishness_level(game: Game) -> LevelResult:
@@ -283,19 +296,7 @@ def selfishness_level(game: Game) -> LevelResult:
     witness optimum is the lexicographically first stable social optimum
     attaining the minimum.
     """
-    kernel = game._kernel
-    if not kernel.stable:
-        return LevelResult.infinite()
-    best = best_cell = None
-    for cell in kernel.stable:
-        move = _steepest_move(kernel, cell)
-        if move is None:
-            return LevelResult.zero(kernel.profile(cell))
-        if best is None or move[0] * best[1] < best[0] * move[1]:
-            best, best_cell = move, cell
-    gain, drop, player, target = best
-    return LevelResult.finite(Fraction(gain, drop), kernel.profile(best_cell),
-                              _deviation_record(kernel, best_cell, player, target))
+    return _level(game._kernel)
 
 
 def _share(alpha) -> Fraction:
@@ -390,94 +391,14 @@ def symmetric_selfishness_level(
     counts ``rest`` (a tuple of length ``strategy_count`` summing to
     ``player_count - 1``).  In a symmetric game permuting players
     permutes payoffs, so welfare, optimality, stability, and appeal
-    factors are constant on permutation orbits; enumerating one sorted
-    representative per orbit gives the same level as the full joint
-    strategy space at a fraction of the cost.
+    factors are constant on permutation orbits.  The level engine of
+    ``selfishness_level`` runs on one sorted representative per orbit
+    (``core._Orbits``), so the result, witnesses included, equals the
+    dense engine's on the expanded game at a fraction of the cost.
     """
     n, m = player_count, strategy_count
     if n < 2:
         raise PlayerCountTooSmall(f"a strategic game needs more than one player, got {n}")
     if m < 1:
         raise EmptyStrategySet("the players have no strategies")
-    sign = 1 if orientation is Orientation.PAYOFF_MAX else -1
-    cache: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-
-    def pay(j: int, rest: tuple[int, ...]) -> Fraction:
-        key = (j, rest)
-        if key not in cache:
-            cache[key] = sign * parse_rational(payoff(j, rest))
-        return cache[key]
-
-    def counts_of(profile: tuple[int, ...]) -> tuple[int, ...]:
-        counts = [0] * m
-        for j in profile:
-            counts[j] += 1
-        return tuple(counts)
-
-    def without(counts: tuple[int, ...], j: int) -> tuple[int, ...]:
-        return counts[:j] + (counts[j] - 1,) + counts[j + 1:]
-
-    def with_extra(counts: tuple[int, ...], j: int) -> tuple[int, ...]:
-        return counts[:j] + (counts[j] + 1,) + counts[j + 1:]
-
-    classes = list(itertools.combinations_with_replacement(range(m), n))
-    welfare: dict[tuple[int, ...], Fraction] = {}
-    for profile in classes:
-        counts = counts_of(profile)
-        total = ZERO
-        for j in range(m):
-            if counts[j]:
-                total += counts[j] * pay(j, without(counts, j))
-        welfare[counts] = total
-
-    best_welfare = max(welfare.values())
-    optimum_counts = {c for c, sw in welfare.items() if sw == best_welfare}
-
-    best_alpha: Fraction | None = None
-    best_profile: tuple[int, ...] | None = None
-    best_deviation: DeviationRecord | None = None
-    found_stable = False
-    for profile in classes:
-        counts = counts_of(profile)
-        if counts not in optimum_counts:
-            continue
-        stable = True
-        alpha = ZERO
-        deviation: DeviationRecord | None = None
-        for j in range(m):
-            if not counts[j]:
-                continue
-            rest = without(counts, j)
-            base = pay(j, rest)
-            for j2 in range(m):
-                if j2 == j:
-                    continue
-                value = pay(j2, rest)
-                if value <= base:
-                    continue
-                target = with_extra(rest, j2)
-                if target in optimum_counts:
-                    stable = False
-                    break
-                gain = value - base
-                drop = welfare[counts] - welfare[target]
-                factor = gain / drop
-                if deviation is None or factor > alpha:
-                    alpha = factor
-                    deviation = DeviationRecord(
-                        profile.index(j), profile, j2, gain, drop, factor
-                    )
-            if not stable:
-                break
-        if not stable:
-            continue
-        found_stable = True
-        if best_alpha is None or alpha < best_alpha:
-            best_alpha, best_profile, best_deviation = alpha, profile, deviation
-            if best_alpha == 0:
-                break
-    if not found_stable:
-        return LevelResult.infinite()
-    if best_alpha == 0:
-        return LevelResult.zero(best_profile)
-    return LevelResult.finite(best_alpha, best_profile, best_deviation)
+    return _level(_Orbits(n, m, payoff, orientation))

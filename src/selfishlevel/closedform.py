@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import analysis, families
-from .core import parse_rational
+from .core import HALF, ZERO, parse_rational
 from .errors import (
     MissingDiscrepancy,
     OutOfDeviationRange,
@@ -34,10 +34,8 @@ from .families import (
     PublicGoodsGrid,
     TravelersDilemma,
     WeaklyAcyclic3x3,
+    _require,
 )
-
-ZERO = Fraction(0)
-HALF = Fraction(1, 2)
 
 
 class ClosedFormKind(Enum):
@@ -62,11 +60,6 @@ class ClosedFormResult:
 # ---------------------------------------------------------------------------
 # continuous family parameters
 # ---------------------------------------------------------------------------
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ParamOutOfRange(message)
-
 
 @dataclass(frozen=True)
 class TragedyParams:
@@ -158,14 +151,6 @@ def discrepancy(a_e, b_e, a_e2, b_e2, x_e: int, x_e2: int) -> Fraction:
     return ((2 * a_e * x_e + b_e) - (2 * a_e2 * x_e2 + b_e2)) / denom
 
 
-def _usage(spec, profile) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for player, position in enumerate(profile):
-        for name in spec.strategies[player][position]:
-            counts[name] = counts.get(name, 0) + 1
-    return counts
-
-
 def max_discrepancy(spec: Congestion, cap: int = families.DEFAULT_CELL_CAP) -> Fraction:
     """Largest discrepancy below 1 over the stable social optima.
 
@@ -179,7 +164,8 @@ def max_discrepancy(spec: Congestion, cap: int = families.DEFAULT_CELL_CAP) -> F
     coeffs = {name: (a, b) for name, a, b in spec.facilities}
     best: Fraction | None = None
     for profile in stable:
-        usage = _usage(spec, profile)
+        usage = families.facility_usage(
+            spec.strategies[i][position] for i, position in enumerate(profile))
         for e in names:
             for e2 in names:
                 if e == e2:

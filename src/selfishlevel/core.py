@@ -11,6 +11,13 @@ larger is always better.  A positive scaling and a uniform sign flip
 change no equilibrium, optimum or stable optimum, and an appeal factor
 is a ratio in which the common denominator cancels, so results stay
 exact; Fractions reappear only in the values a caller gets back.
+
+Two profile spaces share that integer form: ``_Kernel``, a game's dense
+table, and ``_Orbits``, a symmetric game given compactly, with one cell
+per player-permutation orbit.  Each supplies its welfare vector and its
+strictly improving deviations; ``_Space`` derives the optima and the
+stable optima from them, once for both, and the level engine in
+``analysis`` runs on either.
 """
 
 from __future__ import annotations
@@ -36,8 +43,9 @@ from .errors import (
 #: A joint strategy: one strategy index per player.
 Profile = tuple[int, ...]
 
-#: Anything parse_rational accepts.
-RationalLike = "Fraction | int | str"
+ZERO = Fraction(0)
+ONE = Fraction(1)
+HALF = Fraction(1, 2)
 
 
 class Orientation(str, Enum):
@@ -235,7 +243,7 @@ class Game:
 
         Social welfare for payoff games, social cost for cost games.
         """
-        return sum(self.payoff_vector(profile), Fraction(0))
+        return sum(self.payoff_vector(profile), ZERO)
 
     def joint_strategies(self) -> Iterator[Profile]:
         """All joint strategies in lexicographic index order."""
@@ -292,7 +300,48 @@ class Game:
         )
 
 
-class _Kernel:
+def _scale(columns, orientation: Orientation) -> tuple[int, int, list[list[int]]]:
+    """Rows of Fractions as (denominator, sign, rows of ints): every value
+    times the least common denominator, negated for cost games."""
+    denominators = {v.denominator for column in columns for v in column}
+    denominator = math.lcm(*denominators)
+    sign = 1 if orientation is Orientation.PAYOFF_MAX else -1
+    factor = {d: sign * (denominator // d) for d in denominators}
+    return denominator, sign, [[v.numerator * factor[v.denominator] for v in column]
+                               for column in columns]
+
+
+class _Space:
+    """A finite profile space in scaled integers, larger always better.
+
+    A subclass sets ``welfare`` (one int per cell) and ``denominator`` and
+    defines ``profile(cell)`` and ``deviations(cell)``: the strictly
+    improving unilateral moves as (player, to_strategy, target cell,
+    integer gain) in (player, strategy) order.  The optima and the stable
+    optima are derived here, once, on first use.
+    """
+
+    welfare: list[int]
+    denominator: int
+
+    @cached_property
+    def best_welfare(self) -> int:
+        return max(self.welfare)
+
+    @cached_property
+    def optima(self) -> list[int]:
+        best = self.best_welfare
+        return [c for c, w in enumerate(self.welfare) if w == best]
+
+    @cached_property
+    def stable(self) -> list[int]:
+        """Optima from which no player improves by moving to another optimum."""
+        optimal = set(self.optima)
+        return [c for c in self.optima
+                if not any(t in optimal for _, _, t, _ in self.deviations(c))]
+
+
+class _Kernel(_Space):
     """A game's values as integers in maximizing sign, for the analysis code.
 
     ``values[i][c]`` is player i's value at flat cell c times
@@ -304,14 +353,8 @@ class _Kernel:
     """
 
     def __init__(self, game: Game):
-        denominators = {v.denominator for vec in game.payoffs for v in vec}
-        self.denominator = math.lcm(*denominators)
-        self.sign = 1 if game.orientation is Orientation.PAYOFF_MAX else -1
-        factor = {d: self.sign * (self.denominator // d) for d in denominators}
-        self.values = tuple(
-            [v.numerator * factor[v.denominator] for v in column]
-            for column in zip(*game.payoffs)
-        )
+        self.denominator, self.sign, self.values = _scale(
+            list(zip(*game.payoffs)), game.orientation)
         self.welfare = [sum(vec) for vec in zip(*self.values)]
         self.counts = game.strategy_counts
         self.strides = game._strides
@@ -332,22 +375,12 @@ class _Kernel:
         base = values[cell]
         return [t for t in range(start, start + m * stride, stride) if values[t] > base]
 
-    @cached_property
-    def best_welfare(self) -> int:
-        return max(self.welfare)
-
-    @cached_property
-    def optima(self) -> list[int]:
-        best = self.best_welfare
-        return [c for c, w in enumerate(self.welfare) if w == best]
-
-    @cached_property
-    def stable(self) -> list[int]:
-        """Optima from which no player improves by moving to another optimum."""
-        optimal = set(self.optima)
-        return [c for c in self.optima
-                if not any(t in optimal
-                           for i in range(len(self.values)) for t in self.moves(c, i))]
+    def deviations(self, cell: int) -> list[tuple[int, int, int, int]]:
+        out = []
+        for i, values in enumerate(self.values):
+            stride, m = self.strides[i], self.counts[i]
+            out += [(i, t // stride % m, t, values[t] - values[cell]) for t in self.moves(cell, i)]
+        return out
 
     def equilibria(self, p: int = 0, q: int = 1, cells: Iterable[int] | None = None) -> list[int]:
         """The cells of ``cells`` (default: all, ascending) that are pure Nash
@@ -375,3 +408,61 @@ class _Kernel:
     @cached_property
     def nash(self) -> list[int]:
         return self.equilibria()
+
+
+def _shift(counts: tuple[int, ...], j: int, by: int) -> tuple[int, ...]:
+    return counts[:j] + (counts[j] + by,) + counts[j + 1:]
+
+
+def _counts(profile: Iterable[int], m: int) -> tuple[int, ...]:
+    counts = [0] * m
+    for j in profile:
+        counts[j] += 1
+    return tuple(counts)
+
+
+class _Orbits(_Space):
+    """A symmetric game given compactly, one cell per player-permutation orbit.
+
+    ``payoff(j, rest)`` is the common payoff of a player choosing strategy
+    j while the others' per-strategy counts are ``rest``.  Permuting the
+    players permutes the payoffs, so welfare, optimality, stability and
+    appeal factors are constant on orbits.  Cell k is the k-th sorted
+    profile in lexicographic order, the lexicographically first member of
+    its orbit.  A cell lists each deviation once, for the first player of
+    the deviator's strategy group: the group's moves are all equal, and
+    that player's come first in (player, strategy) order.
+
+    Each ``(j, rest)`` is evaluated once and scaled to integers as in
+    ``_Kernel``: ``rows[rest][j]`` is the value of strategy j against
+    ``rest``.
+    """
+
+    def __init__(self, n: int, m: int, payoff, orientation: Orientation):
+        self.cells = list(itertools.combinations_with_replacement(range(m), n))
+        self.counts = [_counts(profile, m) for profile in self.cells]
+        self.index = {counts: cell for cell, counts in enumerate(self.counts)}
+        rests = [_counts(others, m)
+                 for others in itertools.combinations_with_replacement(range(m), n - 1)]
+        self.denominator, _, rows = _scale(
+            [[parse_rational(payoff(j, rest)) for j in range(m)] for rest in rests],
+            orientation)
+        self.rows = dict(zip(rests, rows))
+        self.welfare = [sum(self.counts[cell][j] * row[j] for _, j, _, row in self._groups(cell))
+                        for cell in range(len(self.cells))]
+
+    def _groups(self, cell: int):
+        """(first player, strategy, others' counts, value row) per strategy used."""
+        profile, counts = self.cells[cell], self.counts[cell]
+        for player, j in enumerate(profile):
+            if not player or profile[player - 1] != j:
+                rest = _shift(counts, j, -1)
+                yield player, j, rest, self.rows[rest]
+
+    def profile(self, cell: int) -> Profile:
+        return self.cells[cell]
+
+    def deviations(self, cell: int) -> list[tuple[int, int, int, int]]:
+        return [(player, to, self.index[_shift(rest, to, 1)], value - row[j])
+                for player, j, rest, row in self._groups(cell)
+                for to, value in enumerate(row) if value > row[j]]

@@ -14,14 +14,11 @@ from fractions import Fraction
 from enum import Enum
 from typing import Callable, Union
 
-from .core import Game, Orientation, parse_rational
+from .core import HALF, ONE, ZERO, Game, Orientation, parse_rational
 from .errors import ExplosionGuard, InfeasibleParams, ParamOutOfRange
 
 #: Default cap on the number of joint strategies a spec may expand to.
 DEFAULT_CELL_CAP = 10_000_000
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +235,9 @@ FamilySpec = Union[
 # expansion to normal form
 # ---------------------------------------------------------------------------
 
-def _guard(counts, cap: int) -> None:
+def check_cap(counts, cap: int) -> None:
+    """Raise ExplosionGuard when strategy counts ``counts`` give more than
+    ``cap`` joint strategies."""
     cells = 1
     for m in counts:
         cells *= m
@@ -253,8 +252,6 @@ def _fixed_table(labels, rows) -> Game:
                for cell in row] for row in rows]
     return Game.from_dense(Orientation.PAYOFF_MAX, labels, nested)
 
-
-HALF = Fraction(1, 2)
 
 _FIXED_GAMES: dict[type, Callable[[], Game]] = {
     MatchingPennies: lambda: _fixed_table(
@@ -372,15 +369,22 @@ def _subset_labels(options) -> tuple[str, ...]:
     return tuple("+".join(subset) for subset in options)
 
 
+def facility_usage(choice) -> dict[str, int]:
+    """The number of players on each facility when player i takes the
+    facility subset ``choice[i]``."""
+    usage: dict[str, int] = {}
+    for subset in choice:
+        for name in subset:
+            usage[name] = usage.get(name, 0) + 1
+    return usage
+
+
 def _generate_cost_sharing(spec: CostSharing) -> Game:
     costs = dict(spec.facility_costs)
     labels = tuple(_subset_labels(options) for options in spec.strategies)
     cells = []
     for choice in itertools.product(*spec.strategies):
-        usage: dict[str, int] = {}
-        for subset in choice:
-            for name in subset:
-                usage[name] = usage.get(name, 0) + 1
+        usage = facility_usage(choice)
         cells.append(tuple(
             sum((costs[name] / usage[name] for name in subset), ZERO)
             for subset in choice
@@ -393,10 +397,7 @@ def _generate_congestion(spec: Congestion) -> Game:
     labels = tuple(_subset_labels(options) for options in spec.strategies)
     cells = []
     for choice in itertools.product(*spec.strategies):
-        usage: dict[str, int] = {}
-        for subset in choice:
-            for name in subset:
-                usage[name] = usage.get(name, 0) + 1
+        usage = facility_usage(choice)
         delay_of = {name: delays[name][0] * count + delays[name][1]
                     for name, count in usage.items()}
         cells.append(tuple(
@@ -415,24 +416,24 @@ def generate(spec: FamilySpec, cap: int = DEFAULT_CELL_CAP) -> Game:
     if kind in _FIXED_GAMES:
         return _FIXED_GAMES[kind]()
     if isinstance(spec, PrisonersDilemmaN):
-        _guard((2,) * spec.n, cap)
+        check_cap((2,) * spec.n, cap)
         return _generate_pd_n(spec)
     if isinstance(spec, GeneralizedPD):
         return _generate_generalized_pd(spec)
     if isinstance(spec, PublicGoodsGrid):
-        _guard((len(spec.grid_values()),) * spec.n, cap)
+        check_cap((len(spec.grid_values()),) * spec.n, cap)
         return _generate_public_goods(spec)
     if isinstance(spec, TravelersDilemma):
-        _guard((99, 99), cap)
+        check_cap((99, 99), cap)
         return _generate_travelers(spec)
     if isinstance(spec, FLevelGame):
-        _guard((2,) * spec.n, cap)
+        check_cap((2,) * spec.n, cap)
         return _generate_f_level(spec)
     if isinstance(spec, CostSharing):
-        _guard(tuple(len(options) for options in spec.strategies), cap)
+        check_cap(tuple(len(options) for options in spec.strategies), cap)
         return _generate_cost_sharing(spec)
     if isinstance(spec, Congestion):
-        _guard(tuple(len(options) for options in spec.strategies), cap)
+        check_cap(tuple(len(options) for options in spec.strategies), cap)
         return _generate_congestion(spec)
     raise ParamOutOfRange(f"unknown family spec: {spec!r}")
 

@@ -145,7 +145,7 @@ def parse_game_document(text: str, cap: int | None = None) -> GameDocument:
         ) from None
     names, labels = _parse_players(obj)
     if cap is not None:
-        families._guard([len(per_player) for per_player in labels], cap)
+        families.check_cap([len(per_player) for per_player in labels], cap)
     payoffs = obj.get("payoffs")
     if payoffs is None:
         raise GameDocumentError("document needs a 'payoffs' field")

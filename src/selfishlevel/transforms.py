@@ -25,16 +25,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import Game, parse_rational
+from .core import ONE, ZERO, Game, parse_rational
 from .errors import NegativeAlpha, NonPositiveScale, ParamOutOfRange
-
-ONE = Fraction(1)
 
 
 def _cell_transform(game: Game, fn) -> Game:
     cells = []
     for vec in game.payoffs:
-        total = sum(vec, Fraction(0))
+        total = sum(vec, ZERO)
         cells.append(tuple(fn(v, total) for v in vec))
     return game.with_payoffs(cells)
 

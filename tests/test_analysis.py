@@ -1,6 +1,8 @@
 """Equilibria, optima, appeal factors, the level, and its characterization."""
 
+import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -534,7 +536,7 @@ class TestAltruismSharesOnBaseKernel:
             selfishness_function(fresh.game, [0.5])
 
 
-def _expand_symmetric(n, m, payoff) -> Game:
+def _expand_symmetric(n, m, payoff, orientation=Orientation.PAYOFF_MAX) -> Game:
     labels = (tuple(f"s{j}" for j in range(m)),) * n
     cells = []
     for profile in itertools.product(range(m), repeat=n):
@@ -546,14 +548,15 @@ def _expand_symmetric(n, m, payoff) -> Game:
                     rest[j] += 1
             vec.append(payoff(profile[i], tuple(rest)))
         cells.append(tuple(vec))
-    return Game(Orientation.PAYOFF_MAX, labels, tuple(cells))
+    return Game(orientation, labels, tuple(cells))
 
 
 class TestSymmetricReduction:
     def test_matches_dense_engine_on_random_symmetric_games(self):
         rng = random.Random(99)
-        for _ in range(40):
-            n = rng.randint(2, 3)
+        kinds = set()
+        for _ in range(100):
+            n = rng.randint(2, 4)
             m = rng.randint(1, 3)
             table = {}
 
@@ -563,10 +566,24 @@ class TestSymmetricReduction:
                     table[key] = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
                 return table[key]
 
-            dense = selfishness_level(_expand_symmetric(n, m, payoff))
-            compact = symmetric_selfishness_level(n, m, payoff)
-            assert dense.kind is compact.kind
-            assert dense.level() == compact.level()
+            for orientation in Orientation:
+                dense = selfishness_level(_expand_symmetric(n, m, payoff, orientation))
+                compact = symmetric_selfishness_level(n, m, payoff, orientation=orientation)
+                assert dense == compact, (n, m, orientation)
+                kinds.add((orientation, dense.kind))
+        assert {(o, k) for o in Orientation for k in (LevelKind.ZERO, LevelKind.FINITE)} <= kinds
+
+    def test_each_payoff_key_evaluated_once(self):
+        for n, m in ((2, 1), (2, 3), (3, 2), (4, 3), (5, 4)):
+            calls = collections.Counter()
+
+            def payoff(j, rest, calls=calls):
+                calls[j, rest] += 1
+                return Fraction(j * sum(rest) - rest[0], 1 + j)
+
+            symmetric_selfishness_level(n, m, payoff)
+            assert set(calls.values()) == {1}
+            assert sum(calls.values()) == m * math.comb(n + m - 2, n - 1)
 
     def test_float_payoff_rejected(self):
         with pytest.raises(GameError):
@@ -590,4 +607,5 @@ class TestSymmetricReduction:
             form.player_count, len(form.strategy_labels), form.payoff
         )
         # (1 - c/n) / (c - 1) = (1 - 1/2) / (1/2) = 1
-        assert dense.level() == compact.level() == 1
+        assert dense.level() == 1
+        assert dense == compact
