@@ -5,6 +5,10 @@ closedform.  Game documents are read from a file argument ("-" or
 omitted means standard input) and reports are written to standard
 output, so generate/transform pipe into the analysis commands.
 
+``generate`` takes a family name from ``families.FAMILIES`` and
+``closedform`` one from ``closedform.CONTINUOUS`` or, failing that,
+``families.FAMILIES``; each family parses its own ``--param`` values.
+
 Exit codes: 0 on success, 2 on parse or validation errors, 3 when a
 generated game or an input document would exceed the joint-strategy
 cell cap (``--cap``).
@@ -41,106 +45,8 @@ def _parse_params(groups: list[list[str]] | None) -> dict[str, Fraction]:
     return params
 
 
-def _take(params: dict, key: str, *, integer: bool = False, default=None):
-    if key not in params:
-        if default is not None:
-            return default
-        raise ParamOutOfRange(f"missing required parameter {key!r}")
-    value = params.pop(key)
-    if integer:
-        if value.denominator != 1:
-            raise ParamOutOfRange(f"parameter {key!r} must be an integer, got {value}")
-        return int(value)
-    return value
-
-
-def _done(params: dict) -> None:
-    if params:
-        raise ParamOutOfRange(f"unknown parameters: {', '.join(sorted(params))}")
-
-
-def _family_spec(name: str, params: dict) -> families.FamilySpec:
-    if name == "pd_n":
-        spec = families.PrisonersDilemmaN(n=_take(params, "n", integer=True))
-    elif name == "generalized_pd":
-        spec = families.GeneralizedPD(alpha=_take(params, "alpha"),
-                                      beta=_take(params, "beta"))
-    elif name == "public_goods":
-        spec = families.PublicGoodsGrid(
-            n=_take(params, "n", integer=True),
-            b=_take(params, "b"),
-            c=_take(params, "c"),
-            grid_steps=_take(params, "k", integer=True),
-        )
-    elif name == "travelers":
-        spec = families.TravelersDilemma()
-    elif name == "matching_pennies":
-        spec = families.MatchingPennies()
-    elif name == "battle_of_sexes":
-        spec = families.BattleOfSexes()
-    elif name == "bad_nash_3x3":
-        spec = families.BadNash3x3()
-    elif name == "no_nash_2x2":
-        spec = families.NoNash2x2()
-    elif name == "weakly_acyclic_3x3":
-        spec = families.WeaklyAcyclic3x3()
-    elif name == "f_level":
-        spec = families.FLevelGame(n=_take(params, "n", integer=True),
-                                   f_value=_take(params, "f"))
-    elif name == "cost_sharing_singleton_tight":
-        spec = families.tight_instance(
-            families.TightFamily.COST_SHARING_SINGLETON,
-            c_max=_take(params, "c_max"), c_min=_take(params, "c_min"),
-        )
-    elif name == "cost_sharing_integer_tight":
-        spec = families.tight_instance(
-            families.TightFamily.COST_SHARING_INTEGER,
-            L=_take(params, "L", integer=True),
-            c_max=_take(params, "c_max", integer=True),
-        )
-    elif name == "congestion_singleton_tight":
-        spec = families.tight_instance(
-            families.TightFamily.CONGESTION_SINGLETON,
-            delta=_take(params, "delta"), a=_take(params, "a"),
-        )
-    elif name == "congestion_integer_tight":
-        spec = families.tight_instance(
-            families.TightFamily.CONGESTION_INTEGER,
-            L=_take(params, "L", integer=True),
-            d_max=_take(params, "d_max", integer=True),
-            d_min=_take(params, "d_min", integer=True),
-        )
-    elif name == "cost_sharing_gap":
-        spec = families.cost_sharing_gap_instance(
-            c_max=_take(params, "c_max"),
-            c_min=_take(params, "c_min"),
-            gap=_take(params, "gap"),
-        )
-    else:
-        raise ParamOutOfRange(f"unknown family {name!r}")
-    _done(params)
-    return spec
-
-
-def _closed_form_spec(name: str, params: dict):
-    if name == "tragedy":
-        spec = closedform.TragedyParams(n=_take(params, "n", integer=True))
-    elif name == "cournot":
-        spec = closedform.CournotParams(a=_take(params, "a"), b=_take(params, "b"),
-                                        c=_take(params, "c"))
-    elif name == "bertrand":
-        spec = closedform.BertrandParams(a=_take(params, "a"), b=_take(params, "b"),
-                                         c=_take(params, "c"))
-    elif name == "public_goods":
-        spec = closedform.PublicGoodsCont(
-            n=_take(params, "n", integer=True),
-            b=_take(params, "b", default=Fraction(1)),
-            c=_take(params, "c"),
-        )
-    else:
-        return _family_spec(name, params)
-    _done(params)
-    return spec
+#: ``closedform`` takes a continuous family over a generator family of the same name.
+_CLOSED_FORM_FAMILIES = {**families.FAMILIES, **closedform.CONTINUOUS}
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +94,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    spec = _family_spec(args.family, _parse_params(args.param))
+    params = _parse_params(args.param)
+    spec = families.named(args.family).spec(params)
     game = families.generate(spec, cap=args.cap)
     sys.stdout.write(gamedoc.render_game_document(gamedoc.GameDocument.from_game(game)))
     return 0
@@ -214,7 +121,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_closedform(args) -> int:
-    spec = _closed_form_spec(args.family, _parse_params(args.param))
+    params = _parse_params(args.param)
+    spec = families.named(args.family, _CLOSED_FORM_FAMILIES).spec(params)
     result = closedform.closed_form_level(spec, cap=args.cap)
     body = {
         "family": args.family,
@@ -238,6 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_file(p):
         p.add_argument("file", nargs="?", default=None,
                        help="game document ('-' or omitted: standard input)")
+
+    def add_family(p, table):
+        p.add_argument("family", help="one of: " + ", ".join(table))
+        p.add_argument("--param", action="append", nargs="+", metavar="KEY=VALUE",
+                       help="family parameters, e.g. --param n=4 c=2")
 
     def add_cap(p):
         p.add_argument("--cap", type=int, default=families.DEFAULT_CELL_CAP,
@@ -264,9 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("generate", help="emit a game document for a family")
-    p.add_argument("family")
-    p.add_argument("--param", action="append", nargs="+", metavar="KEY=VALUE",
-                   help="family parameters, e.g. --param n=4 c=2")
+    add_family(p, families.FAMILIES)
     add_cap(p)
     p.set_defaults(func=cmd_generate)
 
@@ -282,9 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("closedform", help="analytic level or bound for a family")
-    p.add_argument("family")
-    p.add_argument("--param", action="append", nargs="+", metavar="KEY=VALUE",
-                   help="family parameters, e.g. --param n=4 c=2")
+    add_family(p, _CLOSED_FORM_FAMILIES)
     add_cap(p)
     p.set_defaults(func=cmd_closedform)
 

@@ -5,6 +5,8 @@ cost-sharing and congestion games report the proven upper bound (tight,
 in the sense that instances attaining it exist); the continuous
 competition games have infinite level, certified constructively: for
 any threshold M a deviation with appeal factor above M is produced.
+``closed_form_level`` looks each spec type up in one table, and
+``CONTINUOUS`` names the continuous families for the CLI.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import analysis, families
-from .core import HALF, ZERO, parse_rational
+from .core import HALF, ONE, ZERO, parse_rational
 from .errors import (
     MissingDiscrepancy,
     OutOfDeviationRange,
@@ -26,10 +28,12 @@ from .errors import (
 from .families import (
     Congestion,
     CostSharing,
+    Family,
     FLevelGame,
     GeneralizedPD,
     MatchingPennies,
     BadNash3x3,
+    Param,
     PrisonersDilemmaN,
     PublicGoodsGrid,
     TravelersDilemma,
@@ -133,6 +137,17 @@ class PublicGoodsCont:
 ContinuousFamilyParams = TragedyParams | CournotParams | BertrandParams | PublicGoodsCont
 
 
+#: The continuous families ``closedform`` accepts by CLI name; they take
+#: precedence over ``families.FAMILIES``.
+CONTINUOUS: dict[str, Family] = {
+    "tragedy": Family(TragedyParams, (Param("n", int),)),
+    "cournot": Family(CournotParams, (Param("a"), Param("b"), Param("c"))),
+    "bertrand": Family(BertrandParams, (Param("a"), Param("b"), Param("c"))),
+    "public_goods": Family(
+        PublicGoodsCont, (Param("n", int), Param("b", default=ONE), Param("c"))),
+}
+
+
 # ---------------------------------------------------------------------------
 # discrepancy between congestion facilities
 # ---------------------------------------------------------------------------
@@ -190,14 +205,7 @@ def max_discrepancy(spec: Congestion, cap: int = families.DEFAULT_CELL_CAP) -> F
 # closed-form levels
 # ---------------------------------------------------------------------------
 
-def _lcm_denominator(values) -> int:
-    q = 1
-    for v in values:
-        q = q * v.denominator // math.gcd(q, v.denominator)
-    return q
-
-
-def _cost_sharing_bound(spec: CostSharing) -> ClosedFormResult:
+def _cost_sharing_bound(spec: CostSharing, **_) -> ClosedFormResult:
     costs = [c for _, c in spec.facility_costs]
     if spec.is_singleton:
         c_max, c_min = max(costs), min(costs)
@@ -205,13 +213,13 @@ def _cost_sharing_bound(spec: CostSharing) -> ClosedFormResult:
             raise ParamOutOfRange("singleton bound needs positive facility costs")
         bound = max(ZERO, HALF * c_max / c_min - 1)
         return ClosedFormResult(ClosedFormKind.UPPER_BOUND, bound, tight=True)
-    scale = _lcm_denominator(costs)
+    scale = math.lcm(*(c.denominator for c in costs))
     c_max = max(costs) * scale
     bound = max(ZERO, HALF * spec.max_subset_size * c_max - 1)
     return ClosedFormResult(ClosedFormKind.UPPER_BOUND, bound, tight=True)
 
 
-def _congestion_bound(spec: Congestion, delta_max,
+def _congestion_bound(spec: Congestion, *, delta_max,
                       cap: int) -> ClosedFormResult:
     spans = [a + b for _, a, b in spec.facilities]
     if spec.is_symmetric and spec.is_singleton:
@@ -229,11 +237,41 @@ def _congestion_bound(spec: Congestion, delta_max,
         span_gap = max(spans) - min(spans)
         bound = max(ZERO, HALF * span_gap / ((1 - delta_max) * min(linear)) - HALF)
         return ClosedFormResult(ClosedFormKind.UPPER_BOUND, bound, tight=True)
-    values = [v for _, a, b in spec.facilities for v in (a, b)]
-    scale = _lcm_denominator(values)
+    scale = math.lcm(*(v.denominator for _, a, b in spec.facilities for v in (a, b)))
     span_max, span_min = max(spans) * scale, min(spans) * scale
     bound = max(ZERO, HALF * (spec.max_subset_size * span_max - span_min - 1))
     return ClosedFormResult(ClosedFormKind.UPPER_BOUND, bound, tight=True)
+
+
+def _public_goods(spec, **_) -> ClosedFormResult:
+    if spec.b == 0:
+        # A zero budget leaves each player one strategy: every profile is
+        # an equilibrium.
+        return ClosedFormResult(ClosedFormKind.EXACT, ZERO)
+    value = max(ZERO, (1 - spec.c / spec.n) / (spec.c - 1))
+    return ClosedFormResult(ClosedFormKind.EXACT, value)
+
+
+def _exact(value_of):
+    return lambda spec, **_: ClosedFormResult(ClosedFormKind.EXACT, value_of(spec))
+
+
+def _infinite(spec, **_) -> ClosedFormResult:
+    return ClosedFormResult(ClosedFormKind.INFINITE)
+
+
+_CLOSED_FORMS = {
+    PrisonersDilemmaN: _exact(lambda spec: Fraction(1, 2 * spec.n - 3)),
+    PublicGoodsGrid: _public_goods,
+    PublicGoodsCont: _public_goods,
+    TravelersDilemma: _exact(lambda spec: HALF),
+    GeneralizedPD: _exact(lambda spec: spec.alpha),
+    FLevelGame: _exact(lambda spec: spec.f_value),
+    CostSharing: _cost_sharing_bound,
+    Congestion: _congestion_bound,
+    **dict.fromkeys((TragedyParams, CournotParams, BertrandParams,
+                     MatchingPennies, BadNash3x3, WeaklyAcyclic3x3), _infinite),
+}
 
 
 def closed_form_level(spec, *, delta_max=None,
@@ -246,25 +284,10 @@ def closed_form_level(spec, *, delta_max=None,
     bound needs the maximum discrepancy ``delta_max``; when it is not
     supplied it is brute-forced from the stable social optima.
     """
-    if isinstance(spec, PrisonersDilemmaN):
-        return ClosedFormResult(ClosedFormKind.EXACT, Fraction(1, 2 * spec.n - 3))
-    if isinstance(spec, (PublicGoodsGrid, PublicGoodsCont)):
-        value = max(ZERO, (1 - spec.c / spec.n) / (spec.c - 1))
-        return ClosedFormResult(ClosedFormKind.EXACT, value)
-    if isinstance(spec, TravelersDilemma):
-        return ClosedFormResult(ClosedFormKind.EXACT, HALF)
-    if isinstance(spec, GeneralizedPD):
-        return ClosedFormResult(ClosedFormKind.EXACT, spec.alpha)
-    if isinstance(spec, FLevelGame):
-        return ClosedFormResult(ClosedFormKind.EXACT, spec.f_value)
-    if isinstance(spec, CostSharing):
-        return _cost_sharing_bound(spec)
-    if isinstance(spec, Congestion):
-        return _congestion_bound(spec, delta_max, cap)
-    if isinstance(spec, (TragedyParams, CournotParams, BertrandParams,
-                         MatchingPennies, BadNash3x3, WeaklyAcyclic3x3)):
-        return ClosedFormResult(ClosedFormKind.INFINITE)
-    raise UnknownFamily(f"no closed-form level for {spec!r}")
+    solve = _CLOSED_FORMS.get(type(spec))
+    if solve is None:
+        raise UnknownFamily(f"no closed-form level for {spec!r}")
+    return solve(spec, delta_max=delta_max, cap=cap)
 
 
 # ---------------------------------------------------------------------------

@@ -200,10 +200,7 @@ class Game:
 
     @cached_property
     def cell_count(self) -> int:
-        total = 1
-        for m in self.strategy_counts:
-            total *= m
-        return total
+        return math.prod(self.strategy_counts)
 
     @cached_property
     def _strides(self) -> tuple[int, ...]:

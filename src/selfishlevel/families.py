@@ -4,14 +4,22 @@ Each family is a small frozen spec; ``generate`` expands it into a
 normal-form Game.  Cost-sharing and congestion games are specified
 compactly (facilities plus per-player facility subsets) and expanded to
 cost-minimizing normal form; everything else is payoff-maximizing.
+
+Each decision about a family is made in one table: ``FAMILIES`` maps a
+CLI name to its spec constructor and typed ``--param`` schema, and
+``generate`` and ``symmetric_form`` look their expansion and compact
+view up by spec type.  Adding a family means one spec class, one
+expansion, and one ``FAMILIES`` entry.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from enum import Enum
+from fractions import Fraction
+from functools import cache, partial
 from typing import Callable, Union
 
 from .core import HALF, ONE, ZERO, Game, Orientation, parse_rational
@@ -224,13 +232,6 @@ class Congestion:
         return max(len(subset) for options in self.strategies for subset in options)
 
 
-FamilySpec = Union[
-    PrisonersDilemmaN, GeneralizedPD, PublicGoodsGrid, TravelersDilemma,
-    MatchingPennies, BattleOfSexes, BadNash3x3, NoNash2x2, FLevelGame,
-    WeaklyAcyclic3x3, CostSharing, Congestion,
-]
-
-
 # ---------------------------------------------------------------------------
 # expansion to normal form
 # ---------------------------------------------------------------------------
@@ -238,135 +239,87 @@ FamilySpec = Union[
 def check_cap(counts, cap: int) -> None:
     """Raise ExplosionGuard when strategy counts ``counts`` give more than
     ``cap`` joint strategies."""
-    cells = 1
-    for m in counts:
-        cells *= m
+    cells = math.prod(counts)
     if cells > cap:
         raise ExplosionGuard(
             f"joint strategy space has {cells} cells, exceeding the cap of {cap}"
         )
 
 
-def _fixed_table(labels, rows) -> Game:
-    nested = [[tuple(Fraction(v) if isinstance(v, int) else v for v in cell)
-               for cell in row] for row in rows]
-    return Game.from_dense(Orientation.PAYOFF_MAX, labels, nested)
+# An expansion maps a spec to (orientation, strategy labels, cells), where
+# the cells are a lazy iterable in row-major order, so ``generate`` can
+# check the cap from the labels before any cell is built.
+
+def _fixed(labels, *cells):
+    """A two-player table with the same ``labels`` for both players."""
+    return lambda spec: (Orientation.PAYOFF_MAX, (labels, labels), cells)
 
 
-_FIXED_GAMES: dict[type, Callable[[], Game]] = {
-    MatchingPennies: lambda: _fixed_table(
-        (("H", "T"), ("H", "T")),
-        [[(1, -1), (-1, 1)], [(-1, 1), (1, -1)]],
-    ),
-    BattleOfSexes: lambda: _fixed_table(
-        (("F", "B"), ("F", "B")),
-        [[(2, 1), (0, 0)], [(0, 0), (1, 2)]],
-    ),
-    BadNash3x3: lambda: _fixed_table(
-        (("H", "T", "E"), ("H", "T", "E")),
-        [
-            [(1, -1), (-1, 1), (-1, -1)],
-            [(-1, 1), (1, -1), (-1, -1)],
-            [(-1, -1), (-1, -1), (-1, -1)],
-        ],
-    ),
-    NoNash2x2: lambda: _fixed_table(
-        (("C", "D"), ("C", "D")),
-        [[(2, 2), (2, 0)], [(3, 0), (1, 1)]],
-    ),
-    WeaklyAcyclic3x3: lambda: _fixed_table(
-        (("H", "T", "E"), ("H", "T", "E")),
-        [
-            [(1, -1), (-1, 1), (-1, -HALF)],
-            [(-1, 1), (1, -1), (-1, -HALF)],
-            [(-HALF, -1), (-HALF, -1), (-HALF, -HALF)],
-        ],
-    ),
-}
+def _expand_pd_n(spec: PrisonersDilemmaN):
+    def cell(profile):
+        total = sum(profile)
+        return tuple(Fraction(1 - 3 * v + 2 * total) for v in profile)
+
+    return (Orientation.PAYOFF_MAX, (("C", "D"),) * spec.n,
+            map(cell, itertools.product((1, 0), repeat=spec.n)))
 
 
-def _generate_pd_n(spec: PrisonersDilemmaN) -> Game:
-    labels = (("C", "D"),) * spec.n
-    values = (1, 0)
-    cells = []
-    for profile in itertools.product((0, 1), repeat=spec.n):
-        total = sum(values[j] for j in profile)
-        cells.append(tuple(
-            Fraction(1 - 3 * values[j] + 2 * total) for j in profile
-        ))
-    return Game(Orientation.PAYOFF_MAX, labels, tuple(cells))
-
-
-def _generate_generalized_pd(spec: GeneralizedPD) -> Game:
+def _expand_generalized_pd(spec: GeneralizedPD):
     x = spec.alpha / (spec.alpha + 1)
     low = 1 / spec.beta
-    return _fixed_table(
-        (("C", "D"), ("C", "D")),
-        [[(ONE, ONE), (ZERO, x + 1)], [(x + 1, ZERO), (low, low)]],
-    )
+    cells = ((ONE, ONE), (ZERO, x + 1), (x + 1, ZERO), (low, low))
+    return Orientation.PAYOFF_MAX, (("C", "D"),) * 2, cells
 
 
-def _generate_public_goods(spec: PublicGoodsGrid) -> Game:
+def _expand_public_goods(spec: PublicGoodsGrid):
     values = spec.grid_values()
-    labels = (tuple(str(v) for v in values),) * spec.n
     share = spec.c / spec.n
-    payoff_cache: dict[tuple[Fraction, Fraction], Fraction] = {}
 
+    @cache
     def pay(v: Fraction, total: Fraction) -> Fraction:
-        key = (v, total)
-        if key not in payoff_cache:
-            payoff_cache[key] = spec.b - v + share * total
-        return payoff_cache[key]
+        return spec.b - v + share * total
 
-    cells = []
-    for profile in itertools.product(range(len(values)), repeat=spec.n):
-        chosen = [values[j] for j in profile]
+    def cell(chosen):
         total = sum(chosen, ZERO)
-        cells.append(tuple(pay(v, total) for v in chosen))
-    return Game(Orientation.PAYOFF_MAX, labels, tuple(cells))
+        return tuple(pay(v, total) for v in chosen)
+
+    return (Orientation.PAYOFF_MAX, (tuple(str(v) for v in values),) * spec.n,
+            map(cell, itertools.product(values, repeat=spec.n)))
 
 
-def _generate_travelers(_: TravelersDilemma) -> Game:
+def _expand_travelers(_: TravelersDilemma):
     claims = range(2, 101)
-    labels = (tuple(str(v) for v in claims),) * 2
-    cache: dict[int, Fraction] = {}
+    q = cache(Fraction)
 
-    def q(v: int) -> Fraction:
-        if v not in cache:
-            cache[v] = Fraction(v)
-        return cache[v]
+    def cell(pair):
+        a, b = pair
+        if a == b:
+            return (q(a), q(b))
+        if a < b:
+            return (q(a + 2), q(a - 2))
+        return (q(b - 2), q(b + 2))
 
-    cells = []
-    for a in claims:
-        for b in claims:
-            if a == b:
-                cells.append((q(a), q(b)))
-            elif a < b:
-                cells.append((q(a + 2), q(a - 2)))
-            else:
-                cells.append((q(b - 2), q(b + 2)))
-    return Game(Orientation.PAYOFF_MAX, labels, tuple(cells))
+    return (Orientation.PAYOFF_MAX, (tuple(str(v) for v in claims),) * 2,
+            map(cell, itertools.product(claims, repeat=2)))
 
 
-def _generate_f_level(spec: FLevelGame) -> Game:
-    labels = (("1", "0"),) * spec.n
+def _expand_f_level(spec: FLevelGame):
     f = spec.f_value
     sucker = -(f + 1) / (spec.n - 1)
-    cells = []
-    for profile in itertools.product((0, 1), repeat=spec.n):
-        contributions = [1 - j for j in profile]
-        if all(v == 1 for v in contributions):
-            cells.append((ZERO,) * spec.n)
-            continue
-        first_zero = contributions.index(0)
-        cells.append(tuple(
-            f if i == first_zero else sucker for i in range(spec.n)
-        ))
-    return Game(Orientation.PAYOFF_MAX, labels, tuple(cells))
+
+    def cell(profile):
+        if 1 not in profile:
+            return (ZERO,) * spec.n
+        first_zero = profile.index(1)
+        return tuple(f if i == first_zero else sucker for i in range(spec.n))
+
+    return (Orientation.PAYOFF_MAX, (("1", "0"),) * spec.n,
+            map(cell, itertools.product((0, 1), repeat=spec.n)))
 
 
-def _subset_labels(options) -> tuple[str, ...]:
-    return tuple("+".join(subset) for subset in options)
+def _subset_labels(spec) -> tuple[tuple[str, ...], ...]:
+    return tuple(tuple("+".join(subset) for subset in options)
+                 for options in spec.strategies)
 
 
 def facility_usage(choice) -> dict[str, int]:
@@ -379,63 +332,72 @@ def facility_usage(choice) -> dict[str, int]:
     return usage
 
 
-def _generate_cost_sharing(spec: CostSharing) -> Game:
+def _expand_cost_sharing(spec: CostSharing):
     costs = dict(spec.facility_costs)
-    labels = tuple(_subset_labels(options) for options in spec.strategies)
-    cells = []
-    for choice in itertools.product(*spec.strategies):
+
+    def cell(choice):
         usage = facility_usage(choice)
-        cells.append(tuple(
-            sum((costs[name] / usage[name] for name in subset), ZERO)
-            for subset in choice
-        ))
-    return Game(Orientation.COST_MIN, labels, tuple(cells))
+        return tuple(sum((costs[name] / usage[name] for name in subset), ZERO)
+                     for subset in choice)
+
+    return (Orientation.COST_MIN, _subset_labels(spec),
+            map(cell, itertools.product(*spec.strategies)))
 
 
-def _generate_congestion(spec: Congestion) -> Game:
+def _expand_congestion(spec: Congestion):
     delays = {name: (a, b) for name, a, b in spec.facilities}
-    labels = tuple(_subset_labels(options) for options in spec.strategies)
-    cells = []
-    for choice in itertools.product(*spec.strategies):
+
+    def cell(choice):
         usage = facility_usage(choice)
         delay_of = {name: delays[name][0] * count + delays[name][1]
                     for name, count in usage.items()}
-        cells.append(tuple(
-            sum((delay_of[name] for name in subset), ZERO) for subset in choice
-        ))
-    return Game(Orientation.COST_MIN, labels, tuple(cells))
+        return tuple(sum((delay_of[name] for name in subset), ZERO) for subset in choice)
+
+    return (Orientation.COST_MIN, _subset_labels(spec),
+            map(cell, itertools.product(*spec.strategies)))
+
+
+_EXPANSIONS: dict[type, Callable] = {
+    PrisonersDilemmaN: _expand_pd_n,
+    GeneralizedPD: _expand_generalized_pd,
+    PublicGoodsGrid: _expand_public_goods,
+    TravelersDilemma: _expand_travelers,
+    MatchingPennies: _fixed(("H", "T"), (1, -1), (-1, 1), (-1, 1), (1, -1)),
+    BattleOfSexes: _fixed(("F", "B"), (2, 1), (0, 0), (0, 0), (1, 2)),
+    BadNash3x3: _fixed(
+        ("H", "T", "E"),
+        (1, -1), (-1, 1), (-1, -1),
+        (-1, 1), (1, -1), (-1, -1),
+        (-1, -1), (-1, -1), (-1, -1),
+    ),
+    NoNash2x2: _fixed(("C", "D"), (2, 2), (2, 0), (3, 0), (1, 1)),
+    FLevelGame: _expand_f_level,
+    WeaklyAcyclic3x3: _fixed(
+        ("H", "T", "E"),
+        (1, -1), (-1, 1), (-1, -HALF),
+        (-1, 1), (1, -1), (-1, -HALF),
+        (-HALF, -1), (-HALF, -1), (-HALF, -HALF),
+    ),
+    CostSharing: _expand_cost_sharing,
+    Congestion: _expand_congestion,
+}
+
+#: Any spec ``generate`` expands.
+FamilySpec = Union[tuple(_EXPANSIONS)]
 
 
 def generate(spec: FamilySpec, cap: int = DEFAULT_CELL_CAP) -> Game:
     """Expand a family spec into a validated normal-form game.
 
     Raises ExplosionGuard when the joint-strategy space would exceed
-    ``cap`` cells.
+    ``cap`` cells; no cell is built before that check.
     """
-    kind = type(spec)
-    if kind in _FIXED_GAMES:
-        return _FIXED_GAMES[kind]()
-    if isinstance(spec, PrisonersDilemmaN):
-        check_cap((2,) * spec.n, cap)
-        return _generate_pd_n(spec)
-    if isinstance(spec, GeneralizedPD):
-        return _generate_generalized_pd(spec)
-    if isinstance(spec, PublicGoodsGrid):
-        check_cap((len(spec.grid_values()),) * spec.n, cap)
-        return _generate_public_goods(spec)
-    if isinstance(spec, TravelersDilemma):
-        check_cap((99, 99), cap)
-        return _generate_travelers(spec)
-    if isinstance(spec, FLevelGame):
-        check_cap((2,) * spec.n, cap)
-        return _generate_f_level(spec)
-    if isinstance(spec, CostSharing):
-        check_cap(tuple(len(options) for options in spec.strategies), cap)
-        return _generate_cost_sharing(spec)
-    if isinstance(spec, Congestion):
-        check_cap(tuple(len(options) for options in spec.strategies), cap)
-        return _generate_congestion(spec)
-    raise ParamOutOfRange(f"unknown family spec: {spec!r}")
+    expand = _EXPANSIONS.get(type(spec))
+    if expand is None:
+        raise ParamOutOfRange(f"unknown family spec: {spec!r}")
+    orientation, labels, cells = expand(spec)
+    check_cap(map(len, labels), cap)
+    return Game(orientation, labels, tuple(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -457,43 +419,56 @@ class SymmetricForm:
     payoff: Callable[[int, tuple[int, ...]], Fraction] = field(compare=False)
 
 
+def _pd_n_form(spec: PrisonersDilemmaN) -> SymmetricForm:
+    values = (1, 0)
+
+    def pd_pay(j: int, rest: tuple[int, ...]) -> Fraction:
+        others = sum(count * values[j2] for j2, count in enumerate(rest))
+        return Fraction(1 - values[j] + 2 * others)
+
+    return SymmetricForm(spec.n, ("C", "D"), pd_pay)
+
+
+def _public_goods_form(spec: PublicGoodsGrid) -> SymmetricForm:
+    values = spec.grid_values()
+    share = spec.c / spec.n
+    budget = spec.b
+
+    def pg_pay(j: int, rest: tuple[int, ...]) -> Fraction:
+        total = values[j] + sum(
+            (count * values[j2] for j2, count in enumerate(rest)), ZERO
+        )
+        return budget - values[j] + share * total
+
+    return SymmetricForm(spec.n, tuple(str(v) for v in values), pg_pay)
+
+
+def _travelers_form(_: TravelersDilemma) -> SymmetricForm:
+    def td_pay(j: int, rest: tuple[int, ...]) -> Fraction:
+        own = j + 2
+        other = rest.index(1) + 2
+        if own == other:
+            return Fraction(own)
+        if own < other:
+            return Fraction(own + 2)
+        return Fraction(other - 2)
+
+    return SymmetricForm(2, tuple(str(v) for v in range(2, 101)), td_pay)
+
+
+_SYMMETRIC_FORMS: dict[type, Callable[..., SymmetricForm]] = {
+    PrisonersDilemmaN: _pd_n_form,
+    PublicGoodsGrid: _public_goods_form,
+    TravelersDilemma: _travelers_form,
+}
+
+
 def symmetric_form(spec: FamilySpec) -> SymmetricForm:
     """Compact symmetric view of a player-symmetric family."""
-    if isinstance(spec, PrisonersDilemmaN):
-        values = (1, 0)
-
-        def pd_pay(j: int, rest: tuple[int, ...]) -> Fraction:
-            others = sum(count * values[j2] for j2, count in enumerate(rest))
-            return Fraction(1 - values[j] + 2 * others)
-
-        return SymmetricForm(spec.n, ("C", "D"), pd_pay)
-
-    if isinstance(spec, PublicGoodsGrid):
-        values = spec.grid_values()
-        share = spec.c / spec.n
-        budget = spec.b
-
-        def pg_pay(j: int, rest: tuple[int, ...]) -> Fraction:
-            total = values[j] + sum(
-                (count * values[j2] for j2, count in enumerate(rest)), ZERO
-            )
-            return budget - values[j] + share * total
-
-        return SymmetricForm(spec.n, tuple(str(v) for v in values), pg_pay)
-
-    if isinstance(spec, TravelersDilemma):
-        def td_pay(j: int, rest: tuple[int, ...]) -> Fraction:
-            own = j + 2
-            other = rest.index(1) + 2
-            if own == other:
-                return Fraction(own)
-            if own < other:
-                return Fraction(own + 2)
-            return Fraction(other - 2)
-
-        return SymmetricForm(2, tuple(str(v) for v in range(2, 101)), td_pay)
-
-    raise ParamOutOfRange(f"no symmetric form for {spec!r}")
+    form = _SYMMETRIC_FORMS.get(type(spec))
+    if form is None:
+        raise ParamOutOfRange(f"no symmetric form for {spec!r}")
+    return form(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -599,3 +574,84 @@ def cost_sharing_gap_instance(c_max, c_min, gap) -> CostSharing:
         facility_costs=(("e1", c_max), ("e2", c_min + gap), ("e3", c_min)),
         strategies=((("e1",),), (("e1", "e3"), ("e2",))),
     )
+
+
+# ---------------------------------------------------------------------------
+# named families
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Param:
+    """One ``--param`` key: its type (``int`` or ``Fraction``), the spec
+    keyword it fills (default: the key) and, if it is optional, its default."""
+
+    key: str
+    kind: type = Fraction
+    keyword: str | None = None
+    default: Fraction | None = None
+
+
+@dataclass(frozen=True)
+class Family:
+    """A family as the CLI names it: a spec constructor and its parameters."""
+
+    build: Callable[..., object]
+    params: tuple[Param, ...] = ()
+
+    def spec(self, params: dict[str, Fraction]):
+        """The spec for parsed ``--param`` values.
+
+        Raises ParamOutOfRange for a missing or non-integer parameter,
+        then for whatever the constructor rejects, then for keys the
+        family does not take.
+        """
+        left = dict(params)
+        kwargs = {}
+        for p in self.params:
+            if p.key not in left and p.default is None:
+                raise ParamOutOfRange(f"missing required parameter {p.key!r}")
+            value = left.pop(p.key, p.default)
+            if p.kind is int and value.denominator != 1:
+                raise ParamOutOfRange(f"parameter {p.key!r} must be an integer, got {value}")
+            kwargs[p.keyword or p.key] = p.kind(value)
+        spec = self.build(**kwargs)
+        if left:
+            raise ParamOutOfRange(f"unknown parameters: {', '.join(sorted(left))}")
+        return spec
+
+
+#: The families ``generate`` (and ``closedform``) accept, by CLI name.
+FAMILIES: dict[str, Family] = {
+    "pd_n": Family(PrisonersDilemmaN, (Param("n", int),)),
+    "generalized_pd": Family(GeneralizedPD, (Param("alpha"), Param("beta"))),
+    "public_goods": Family(PublicGoodsGrid, (
+        Param("n", int), Param("b"), Param("c"), Param("k", int, "grid_steps"))),
+    "travelers": Family(TravelersDilemma),
+    "matching_pennies": Family(MatchingPennies),
+    "battle_of_sexes": Family(BattleOfSexes),
+    "bad_nash_3x3": Family(BadNash3x3),
+    "no_nash_2x2": Family(NoNash2x2),
+    "weakly_acyclic_3x3": Family(WeaklyAcyclic3x3),
+    "f_level": Family(FLevelGame, (Param("n", int), Param("f", keyword="f_value"))),
+    "cost_sharing_singleton_tight": Family(
+        partial(tight_instance, TightFamily.COST_SHARING_SINGLETON),
+        (Param("c_max"), Param("c_min"))),
+    "cost_sharing_integer_tight": Family(
+        partial(tight_instance, TightFamily.COST_SHARING_INTEGER),
+        (Param("L", int), Param("c_max", int))),
+    "congestion_singleton_tight": Family(
+        partial(tight_instance, TightFamily.CONGESTION_SINGLETON),
+        (Param("delta"), Param("a"))),
+    "congestion_integer_tight": Family(
+        partial(tight_instance, TightFamily.CONGESTION_INTEGER),
+        (Param("L", int), Param("d_max", int), Param("d_min", int))),
+    "cost_sharing_gap": Family(
+        cost_sharing_gap_instance, (Param("c_max"), Param("c_min"), Param("gap"))),
+}
+
+
+def named(name: str, table: dict[str, Family] = FAMILIES) -> Family:
+    """The family called ``name`` in ``table``; ParamOutOfRange if none is."""
+    if name not in table:
+        raise ParamOutOfRange(f"unknown family {name!r}")
+    return table[name]

@@ -2,15 +2,18 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from selfishlevel import closedform, families
 from selfishlevel.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(argv, stdin_text="", capsys=None, monkeypatch=None):
@@ -149,6 +152,7 @@ class TestComposability:
         (["pd_n", "--param", "n=3"], "1/3"),
         (["generalized_pd", "--param", "alpha=1/2", "beta=2"], "1/2"),
         (["public_goods", "--param", "n=4", "b=1", "c=2", "k=2"], "1/2"),
+        (["travelers"], "1/2"),
         (["matching_pennies"], "inf"),
         (["battle_of_sexes"], "0"),
         (["bad_nash_3x3"], "inf"),
@@ -170,6 +174,9 @@ class TestComposability:
         code, out, _ = cli(["level"], stdin_text=document)
         assert code == 0
         assert out == expected + "\n"
+
+    def test_every_registered_family_is_piped(self):
+        assert [argv[0] for argv, _ in self.FAMILIES] == list(families.FAMILIES)
 
     def test_cost_game_report(self, cli):
         code, out, _ = cli(["analyze", str(FIXTURES / "cost_sharing_tight.json")])
@@ -199,6 +206,38 @@ class TestExitCodes:
         code, _, _ = cli(["generate", "nonexistent"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["generate", "closedform"])
+    def test_unknown_family_message(self, cli, command):
+        code, _, err = cli([command, "foo"])
+        assert code == 2
+        assert err == "error: unknown family 'foo'\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["generate", "pd_n"], "missing required parameter 'n'"),
+        (["closedform", "cournot", "--param", "a=2", "c=0"],
+         "missing required parameter 'b'"),
+        (["generate", "pd_n", "--param", "n=3", "x=1"], "unknown parameters: x"),
+        (["closedform", "tragedy", "--param", "n=3", "x=1"], "unknown parameters: x"),
+        (["generate", "pd_n", "--param", "n=3/2"],
+         "parameter 'n' must be an integer, got 3/2"),
+        (["closedform", "public_goods", "--param", "n=5/2", "c=2"],
+         "parameter 'n' must be an integer, got 5/2"),
+    ])
+    def test_parameter_errors_are_two(self, cli, argv, message):
+        code, _, err = cli(argv)
+        assert code == 2
+        assert err == f"error: {message}\n"
+
+    def test_closedform_public_goods_is_continuous(self, cli):
+        # The continuous family takes no grid size and defaults b to 1.
+        code, out, _ = cli(["closedform", "public_goods", "--param", "n=10", "c=2"])
+        assert code == 0
+        assert json.loads(out)["report"]["result"]["value"] == "4/5"
+        code, _, err = cli(["closedform", "public_goods",
+                            "--param", "n=10", "b=1", "c=2", "k=2"])
+        assert code == 2
+        assert "unknown parameters: k" in err
+
     def test_negative_alpha_is_two(self, cli):
         path = str(FIXTURES / "prisoners_dilemma.json")
         code, _, _ = cli(["transform", path, "--alpha", "-1"])
@@ -215,6 +254,24 @@ class TestExitCodes:
     def test_cap_flag_raises_guard(self, cli):
         code, _, _ = cli(["generate", "pd_n", "--param", "n=3", "--cap", "4"])
         assert code == 3
+
+    FIXED_TABLES = [
+        (["matching_pennies"], 4),
+        (["battle_of_sexes"], 4),
+        (["bad_nash_3x3"], 9),
+        (["no_nash_2x2"], 4),
+        (["weakly_acyclic_3x3"], 9),
+        (["generalized_pd", "--param", "alpha=1/2", "beta=2"], 4),
+    ]
+
+    @pytest.mark.parametrize("argv,cells", FIXED_TABLES,
+                             ids=[argv[0] for argv, _ in FIXED_TABLES])
+    def test_fixed_tables_obey_cap(self, cli, argv, cells):
+        code, _, err = cli(["generate", *argv, "--cap", "3"])
+        assert code == 3
+        assert f"has {cells} cells, exceeding the cap of 3" in err
+        code, _, _ = cli(["generate", *argv, "--cap", str(cells)])
+        assert code == 0
 
     @pytest.mark.parametrize("argv,fixture", [
         (["analyze"], "prisoners_dilemma.json"),
@@ -241,3 +298,16 @@ def test_console_entry_point_round_trip(tmp_path):
         input=generate.stdout, capture_output=True, text=True, check=True,
     )
     assert level.stdout == "1\n"
+
+
+def _readme_names(after: str, before: str) -> list[str]:
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    start = text.index(after) + len(after)
+    return re.findall(r"`([a-z0-9_]+)`", text[start:text.index(before, start)])
+
+
+def test_readme_lists_the_registered_families():
+    assert (_readme_names("Generator families:", "`closedform` additionally")
+            == list(families.FAMILIES))
+    assert (sorted(_readme_names("`closedform` additionally accepts", "("))
+            == sorted(closedform.CONTINUOUS))

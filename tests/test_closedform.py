@@ -100,6 +100,18 @@ class TestExactRowsAgreeWithBruteForce:
         assert (closed_form_level(spec).value
                 == selfishness_level(generate(spec)).level())
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("c", [Fraction(3, 2), 2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_public_goods_zero_budget(self, n, c, k):
+        # b = 0 leaves one strategy per player, so every profile is stable.
+        spec = PublicGoodsGrid(n=n, b=0, c=c, grid_steps=k)
+        assert selfishness_level(generate(spec)).level() == 0
+        continuous = PublicGoodsCont(n=n, b=0, c=c)
+        for closed in (closed_form_level(spec), closed_form_level(continuous)):
+            assert closed.kind is ClosedFormKind.EXACT
+            assert closed.value == 0
+
     @pytest.mark.parametrize("f", [0, Fraction(5, 3), 42])
     def test_f_level(self, f):
         spec = FLevelGame(n=3, f_value=f)

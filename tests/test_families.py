@@ -12,6 +12,7 @@ from selfishlevel import (
     CostSharing,
     FLevelGame,
     GeneralizedPD,
+    MatchingPennies,
     Orientation,
     PrisonersDilemmaN,
     PublicGoodsGrid,
@@ -247,3 +248,11 @@ class TestGuards:
         assert game.cell_count == 8
         with pytest.raises(ExplosionGuard):
             generate(PrisonersDilemmaN(3), cap=7)
+
+    def test_unknown_spec_rejected(self):
+        with pytest.raises(ParamOutOfRange):
+            generate(object())
+
+    def test_no_symmetric_form_for_asymmetric_family(self):
+        with pytest.raises(ParamOutOfRange):
+            symmetric_form(MatchingPennies())
