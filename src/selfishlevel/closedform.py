@@ -33,6 +33,8 @@ from .families import (
     GeneralizedPD,
     MatchingPennies,
     BadNash3x3,
+    BattleOfSexes,
+    NoNash2x2,
     Param,
     PrisonersDilemmaN,
     PublicGoodsGrid,
@@ -265,6 +267,8 @@ _CLOSED_FORMS = {
     PublicGoodsGrid: _public_goods,
     PublicGoodsCont: _public_goods,
     TravelersDilemma: _exact(lambda spec: HALF),
+    BattleOfSexes: _exact(lambda spec: ZERO),
+    NoNash2x2: _exact(lambda spec: ONE),
     GeneralizedPD: _exact(lambda spec: spec.alpha),
     FLevelGame: _exact(lambda spec: spec.f_value),
     CostSharing: _cost_sharing_bound,

@@ -1,16 +1,23 @@
 """Finite normal-form games over exact rational payoffs.
 
-A game is either payoff-maximizing or cost-minimizing and stores one
-dense payoff vector per joint strategy as ``fractions.Fraction`` values;
-nothing in this package ever rounds.
+A game is either payoff-maximizing or cost-minimizing.  It stores its
+payoff table once, as integers over one denominator: player i's value at
+flat cell c is ``columns[i][c] / denominator``, and the denominator is
+the least common denominator of the values in lowest terms.  The store
+is canonical, so two games are equal exactly when their tables of exact
+values are; nothing in this package ever rounds.  ``Game.payoffs`` is an
+exact ``fractions.Fraction`` view of the store, built on first use.
 
-The analysis kernels do not work on the Fractions.  Each game compiles
-once, on first analysis, into scaled integers: every value times the
-least common denominator of the table, negated for cost games, so that
-larger is always better.  A positive scaling and a uniform sign flip
-change no equilibrium, optimum or stable optimum, and an appeal factor
-is a ratio in which the common denominator cancels, so results stay
-exact; Fractions reappear only in the values a caller gets back.
+A game built from raw values coerces each distinct value once; the
+family generators, the transforms and ``negated`` hand over a store
+directly, which is reduced by its gcd to the canonical one.
+
+The analysis kernels work on the integers: ``_Kernel`` takes the
+columns as they are for payoff games and negated for cost games, so
+that larger is always better.  A positive scaling and a uniform sign
+flip change no equilibrium, optimum or stable optimum, and an appeal
+factor is a ratio in which the common denominator cancels, so results
+stay exact; Fractions reappear only in the values a caller gets back.
 
 Two profile spaces share that integer form: ``_Kernel``, a game's dense
 table, and ``_Orbits``, a symmetric game given compactly, with one cell
@@ -90,30 +97,122 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
-def _coerce_vector(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(v) for v in values)
+def _scaled(table) -> tuple[int, list[tuple[int, ...]]]:
+    """Rows of raw rationals as (denominator, rows of ints): every value
+    times the least common denominator of the table.
+
+    Each distinct raw value, keyed by its type and value, goes through
+    ``parse_rational`` once, in order of first appearance, so the first
+    bad value in the table raises, as it would if every value were
+    parsed in turn.  A table holding Fractions is read value by value
+    instead: they need no parsing, and hashing one costs more than that.
+    """
+    rows = [tuple(row) for row in table]
+    flat = list(itertools.chain(*rows))
+    keys = None
+    if Fraction in set(map(type, flat)):
+        exact = list(map(parse_rational, flat))
+    else:
+        keys = list(zip(map(type, flat), flat))
+        try:
+            distinct = dict.fromkeys(keys)
+        except TypeError:  # an unhashable value; parse_rational rejects it, or an earlier one
+            list(map(parse_rational, flat))
+            raise
+        exact = [parse_rational(raw) for _, raw in distinct]
+    denominator = math.lcm(*{q.denominator for q in exact})
+    scaled = [q.numerator * (denominator // q.denominator) for q in exact]
+    if keys is not None:  # one int per distinct key: spread them over the table
+        scaled = map(dict(zip(distinct, scaled)).__getitem__, keys)
+    values = iter(scaled)
+    return denominator, [tuple(itertools.islice(values, len(row))) for row in rows]
 
 
-@dataclass(frozen=True)
+def _check_shape(labels, cells: int, widths: Iterable[int]) -> None:
+    """Raise the first violated structural invariant of a table with
+    ``cells`` payoff vectors of lengths ``widths`` over ``labels``."""
+    if len(labels) < 2:
+        raise PlayerCountTooSmall(
+            f"a strategic game needs more than one player, got {len(labels)}"
+        )
+    for i, per_player in enumerate(labels):
+        if not per_player:
+            raise EmptyStrategySet(f"player {i + 1} has no strategies")
+        if len(set(per_player)) != len(per_player):
+            raise DuplicateLabel(f"player {i + 1} has duplicate strategy labels")
+    expected = math.prod(map(len, labels))
+    if cells != expected:
+        raise DimensionMismatch(f"payoff tensor has {cells} cells, expected {expected}")
+    n = len(labels)
+    for width in widths:
+        if width != n:
+            raise DimensionMismatch(
+                f"payoff cell has {width} values, expected one per player ({n})"
+            )
+
+
+def _store(labels, payoffs) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(denominator, columns) of a raw payoff table, checked against ``labels``."""
+    denominator, cells = _scaled(payoffs)
+    _check_shape(labels, len(cells), map(len, cells))
+    return denominator, tuple(zip(*cells))
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class Game:
     """A finite strategic game with exact rational payoffs.
 
-    ``payoffs`` holds one length-n vector per joint strategy, flattened
-    in lexicographic order of the index tuples (player 1's index varies
-    slowest).  For cost games the stored values are costs; no sign
-    convention is applied at this level.
+    ``columns[i][c] / denominator`` is player i's value at flat cell c.
+    Cells are in lexicographic order of the index tuples (player 1's
+    index varies slowest), and ``denominator`` is the least common
+    denominator of the values in lowest terms.  For cost games the
+    stored values are costs; no sign convention is applied at this level.
+
+    ``Game(orientation, strategy_labels, payoffs)`` takes one length-n
+    vector of rationals (ints, Fractions or "p/q" strings) per joint
+    strategy, in flat order, and checks every value and the shape.
     """
 
     orientation: Orientation
     strategy_labels: tuple[tuple[str, ...], ...]
-    payoffs: tuple[tuple[Fraction, ...], ...]
+    denominator: int
+    columns: tuple[tuple[int, ...], ...]
+
+    def __init__(self, orientation: Orientation, strategy_labels, payoffs):
+        labels = tuple(tuple(per_player) for per_player in strategy_labels)
+        self._adopt(orientation, labels, *_store(labels, payoffs))
+
+    @classmethod
+    def _from_store(cls, orientation: Orientation, labels, denominator: int,
+                    columns) -> "Game":
+        """A game on a trusted store: one tuple of ints per player over a
+        positive denominator, with labels already in tuples."""
+        game = cls.__new__(cls)
+        game._adopt(orientation, labels, denominator, columns)
+        return game
+
+    def _adopt(self, orientation, labels, denominator, columns) -> None:
+        """Take a store, reduced by its gcd to the canonical one, and validate."""
+        divisor = denominator
+        for column in columns:
+            if divisor == 1:
+                break
+            divisor = math.gcd(divisor, *column)
+        if divisor > 1:
+            denominator //= divisor
+            columns = tuple(tuple(v // divisor for v in column) for column in columns)
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "strategy_labels", labels)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "columns", columns)
+        self.__post_init__()
 
     def __post_init__(self):
-        labels = tuple(tuple(per_player) for per_player in self.strategy_labels)
-        cells = tuple(_coerce_vector(vec) for vec in self.payoffs)
-        object.__setattr__(self, "strategy_labels", labels)
-        object.__setattr__(self, "payoffs", cells)
         self.validate()
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(orientation={self.orientation!r}, "
+                f"strategy_labels={self.strategy_labels!r}, payoffs={self.payoffs!r})")
 
     # --- construction -----------------------------------------------------
 
@@ -165,28 +264,8 @@ class Game:
 
     def validate(self) -> None:
         """Raise the first violated structural invariant, if any."""
-        if len(self.strategy_labels) < 2:
-            raise PlayerCountTooSmall(
-                f"a strategic game needs more than one player, got {len(self.strategy_labels)}"
-            )
-        for i, per_player in enumerate(self.strategy_labels):
-            if not per_player:
-                raise EmptyStrategySet(f"player {i + 1} has no strategies")
-            if len(set(per_player)) != len(per_player):
-                raise DuplicateLabel(f"player {i + 1} has duplicate strategy labels")
-        expected = 1
-        for per_player in self.strategy_labels:
-            expected *= len(per_player)
-        if len(self.payoffs) != expected:
-            raise DimensionMismatch(
-                f"payoff tensor has {len(self.payoffs)} cells, expected {expected}"
-            )
-        n = len(self.strategy_labels)
-        for vec in self.payoffs:
-            if len(vec) != n:
-                raise DimensionMismatch(
-                    f"payoff cell has {len(vec)} values, expected one per player ({n})"
-                )
+        cells = len(self.columns[0]) if self.columns else 0
+        _check_shape(self.strategy_labels, cells, (len(self.columns),))
 
     # --- shape --------------------------------------------------------------
 
@@ -226,21 +305,31 @@ class Game:
 
     # --- lookups ------------------------------------------------------------
 
+    @cached_property
+    def payoffs(self) -> tuple[tuple[Fraction, ...], ...]:
+        """One length-n vector of Fractions per joint strategy, in flat
+        order: the exact view of the store, built on first use."""
+        exact = {v: Fraction(v, self.denominator)
+                 for v in set(itertools.chain.from_iterable(self.columns))}
+        return tuple(zip(*(map(exact.__getitem__, column) for column in self.columns)))
+
     def payoff_vector(self, profile: Profile) -> tuple[Fraction, ...]:
-        return self.payoffs[self.flat_index(profile)]
+        cell = self.flat_index(profile)
+        return tuple(Fraction(column[cell], self.denominator) for column in self.columns)
 
     def payoff(self, profile: Profile, player: int) -> Fraction:
         """The stored payoff (or cost) of ``player`` at ``profile``."""
         if not 0 <= player < self.player_count:
             raise IndexOutOfRange(f"player index {player} out of range")
-        return self.payoffs[self.flat_index(profile)][player]
+        return Fraction(self.columns[player][self.flat_index(profile)], self.denominator)
 
     def social_value(self, profile: Profile) -> Fraction:
         """Sum of all players' values at ``profile``.
 
         Social welfare for payoff games, social cost for cost games.
         """
-        return sum(self.payoff_vector(profile), ZERO)
+        cell = self.flat_index(profile)
+        return Fraction(sum(column[cell] for column in self.columns), self.denominator)
 
     def joint_strategies(self) -> Iterator[Profile]:
         """All joint strategies in lexicographic index order."""
@@ -277,7 +366,8 @@ class Game:
 
     def with_payoffs(self, cells) -> "Game":
         """Same shape and orientation, new payoff cells (flat order)."""
-        return Game(self.orientation, self.strategy_labels, tuple(cells))
+        return Game._from_store(self.orientation, self.strategy_labels,
+                                *_store(self.strategy_labels, cells))
 
     def negated(self) -> "Game":
         """Flip orientation and negate every value.
@@ -290,22 +380,8 @@ class Game:
             if self.orientation is Orientation.PAYOFF_MAX
             else Orientation.PAYOFF_MAX
         )
-        return Game(
-            flipped,
-            self.strategy_labels,
-            tuple(tuple(-v for v in vec) for vec in self.payoffs),
-        )
-
-
-def _scale(columns, orientation: Orientation) -> tuple[int, int, list[list[int]]]:
-    """Rows of Fractions as (denominator, sign, rows of ints): every value
-    times the least common denominator, negated for cost games."""
-    denominators = {v.denominator for column in columns for v in column}
-    denominator = math.lcm(*denominators)
-    sign = 1 if orientation is Orientation.PAYOFF_MAX else -1
-    factor = {d: sign * (denominator // d) for d in denominators}
-    return denominator, sign, [[v.numerator * factor[v.denominator] for v in column]
-                               for column in columns]
+        return Game._from_store(flipped, self.strategy_labels, self.denominator,
+                                tuple(tuple(-v for v in column) for column in self.columns))
 
 
 class _Space:
@@ -341,17 +417,19 @@ class _Space:
 class _Kernel(_Space):
     """A game's values as integers in maximizing sign, for the analysis code.
 
-    ``values[i][c]`` is player i's value at flat cell c times
-    ``denominator`` (the least common denominator of the table), negated
-    for cost games; ``welfare[c]`` is the sum over players.  Cells are
+    ``values[i][c]`` is the game's ``columns[i][c]``, player i's value at
+    flat cell c times ``denominator``, negated for cost games;
+    ``welfare[c]`` is the sum over players.  Cells are
     flat indices, so ascending order is lexicographic profile order.
     The equilibria, the optima and the stable optima are computed at
     most once, on first use.
     """
 
     def __init__(self, game: Game):
-        self.denominator, self.sign, self.values = _scale(
-            list(zip(*game.payoffs)), game.orientation)
+        self.denominator = game.denominator
+        self.sign = 1 if game.orientation is Orientation.PAYOFF_MAX else -1
+        self.values = (game.columns if self.sign == 1
+                       else [[-v for v in column] for column in game.columns])
         self.welfare = [sum(vec) for vec in zip(*self.values)]
         self.counts = game.strategy_counts
         self.strides = game._strides
@@ -430,9 +508,9 @@ class _Orbits(_Space):
     the deviator's strategy group: the group's moves are all equal, and
     that player's come first in (player, strategy) order.
 
-    Each ``(j, rest)`` is evaluated once and scaled to integers as in
-    ``_Kernel``: ``rows[rest][j]`` is the value of strategy j against
-    ``rest``.
+    Each ``(j, rest)`` is evaluated once and scaled to integers as a
+    game's table is, then negated for cost games: ``rows[rest][j]`` is
+    the value of strategy j against ``rest``.
     """
 
     def __init__(self, n: int, m: int, payoff, orientation: Orientation):
@@ -441,9 +519,9 @@ class _Orbits(_Space):
         self.index = {counts: cell for cell, counts in enumerate(self.counts)}
         rests = [_counts(others, m)
                  for others in itertools.combinations_with_replacement(range(m), n - 1)]
-        self.denominator, _, rows = _scale(
-            [[parse_rational(payoff(j, rest)) for j in range(m)] for rest in rests],
-            orientation)
+        self.denominator, rows = _scaled([payoff(j, rest) for j in range(m)] for rest in rests)
+        if orientation is Orientation.COST_MIN:
+            rows = [[-v for v in row] for row in rows]
         self.rows = dict(zip(rests, rows))
         self.welfare = [sum(self.counts[cell][j] * row[j] for _, j, _, row in self._groups(cell))
                         for cell in range(len(self.cells))]

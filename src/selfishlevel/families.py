@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Union
 
-from .core import HALF, ONE, ZERO, Game, Orientation, parse_rational
+from .core import ONE, ZERO, Game, Orientation, parse_rational
 from .errors import ExplosionGuard, InfeasibleParams, ParamOutOfRange
 
 #: Default cap on the number of joint strategies a spec may expand to.
@@ -246,74 +247,101 @@ def check_cap(counts, cap: int) -> None:
         )
 
 
-# An expansion maps a spec to (orientation, strategy labels, cells), where
-# the cells are a lazy iterable in row-major order, so ``generate`` can
-# check the cap from the labels before any cell is built.
+# An expansion maps a spec to (orientation, strategy labels, denominator,
+# cells): the cells are a lazy iterable, in row-major order, of integer
+# payoff vectors over the denominator, so ``generate`` can check the cap
+# from the labels before any cell is built, and fills the game's integer
+# store without a Fraction per cell.
 
-def _fixed(labels, *cells):
+def _over(*values: Fraction) -> tuple[int, list[int]]:
+    """(d, ints): the rationals ``values`` as integers over their least
+    common denominator d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def _fixed(labels, *cells, denominator: int = 1):
     """A two-player table with the same ``labels`` for both players."""
-    return lambda spec: (Orientation.PAYOFF_MAX, (labels, labels), cells)
+    return lambda spec: (Orientation.PAYOFF_MAX, (labels, labels), denominator, cells)
 
 
 def _expand_pd_n(spec: PrisonersDilemmaN):
     def cell(profile):
         total = sum(profile)
-        return tuple(Fraction(1 - 3 * v + 2 * total) for v in profile)
+        return tuple(1 - 3 * v + 2 * total for v in profile)
 
-    return (Orientation.PAYOFF_MAX, (("C", "D"),) * spec.n,
+    return (Orientation.PAYOFF_MAX, (("C", "D"),) * spec.n, 1,
             map(cell, itertools.product((1, 0), repeat=spec.n)))
 
 
 def _expand_generalized_pd(spec: GeneralizedPD):
     x = spec.alpha / (spec.alpha + 1)
-    low = 1 / spec.beta
-    cells = ((ONE, ONE), (ZERO, x + 1), (x + 1, ZERO), (low, low))
-    return Orientation.PAYOFF_MAX, (("C", "D"),) * 2, cells
+    d, (one, high, low) = _over(ONE, x + 1, 1 / spec.beta)
+    cells = ((one, one), (0, high), (high, 0), (low, low))
+    return Orientation.PAYOFF_MAX, (("C", "D"),) * 2, d, cells
+
+
+def _grid_labels(spec: PublicGoodsGrid) -> tuple[str, ...]:
+    return tuple(str(v) for v in spec.grid_values())
+
+
+def _public_goods_rule(spec: PublicGoodsGrid) -> tuple[int, Callable[[int, int], int]]:
+    """(d, pay): ``pay(j, steps) / d`` is the payoff of a player on grid
+    point j when the contributions total ``steps`` grid steps.
+
+    Grid point j is j steps of b/k, so the payoff b - v_j + (c/n)*total
+    is (b/k) * ((k - j) + c*steps/n): an integer over d for every j and
+    steps.  With b = 0 the grid is the single point 0 and every payoff 0.
+    """
+    step = spec.b / spec.grid_steps
+    c = spec.c
+    scale = spec.n * c.denominator
+
+    def pay(j: int, steps: int) -> int:
+        return step.numerator * ((spec.grid_steps - j) * scale + c.numerator * steps)
+
+    return step.denominator * scale, pay
 
 
 def _expand_public_goods(spec: PublicGoodsGrid):
-    values = spec.grid_values()
-    share = spec.c / spec.n
-
-    @cache
-    def pay(v: Fraction, total: Fraction) -> Fraction:
-        return spec.b - v + share * total
+    m = len(spec.grid_values())
+    d, pay = _public_goods_rule(spec)
+    # rows[steps][j], for every total a profile can reach
+    rows = [[pay(j, steps) for j in range(m)] for steps in range(spec.n * (m - 1) + 1)]
 
     def cell(chosen):
-        total = sum(chosen, ZERO)
-        return tuple(pay(v, total) for v in chosen)
+        row = rows[sum(chosen)]
+        return tuple(map(row.__getitem__, chosen))
 
-    return (Orientation.PAYOFF_MAX, (tuple(str(v) for v in values),) * spec.n,
-            map(cell, itertools.product(values, repeat=spec.n)))
+    return (Orientation.PAYOFF_MAX, (_grid_labels(spec),) * spec.n, d,
+            map(cell, itertools.product(range(m), repeat=spec.n)))
 
 
 def _expand_travelers(_: TravelersDilemma):
     claims = range(2, 101)
-    q = cache(Fraction)
 
     def cell(pair):
         a, b = pair
         if a == b:
-            return (q(a), q(b))
+            return pair
         if a < b:
-            return (q(a + 2), q(a - 2))
-        return (q(b - 2), q(b + 2))
+            return (a + 2, a - 2)
+        return (b - 2, b + 2)
 
-    return (Orientation.PAYOFF_MAX, (tuple(str(v) for v in claims),) * 2,
+    return (Orientation.PAYOFF_MAX, (tuple(str(v) for v in claims),) * 2, 1,
             map(cell, itertools.product(claims, repeat=2)))
 
 
 def _expand_f_level(spec: FLevelGame):
-    f = spec.f_value
-    sucker = -(f + 1) / (spec.n - 1)
+    d, (f, sucker) = _over(spec.f_value, -(spec.f_value + 1) / (spec.n - 1))
 
     def cell(profile):
         if 1 not in profile:
-            return (ZERO,) * spec.n
+            return (0,) * spec.n
         first_zero = profile.index(1)
         return tuple(f if i == first_zero else sucker for i in range(spec.n))
 
-    return (Orientation.PAYOFF_MAX, (("1", "0"),) * spec.n,
+    return (Orientation.PAYOFF_MAX, (("1", "0"),) * spec.n, d,
             map(cell, itertools.product((0, 1), repeat=spec.n)))
 
 
@@ -333,27 +361,30 @@ def facility_usage(choice) -> dict[str, int]:
 
 
 def _expand_cost_sharing(spec: CostSharing):
-    costs = dict(spec.facility_costs)
+    # Over d, a facility's cost is an integer divisible by any user count.
+    d = (math.lcm(*(c.denominator for _, c in spec.facility_costs))
+         * math.lcm(*range(1, len(spec.strategies) + 1)))
+    costs = {name: int(c * d) for name, c in spec.facility_costs}
 
     def cell(choice):
         usage = facility_usage(choice)
-        return tuple(sum((costs[name] / usage[name] for name in subset), ZERO)
-                     for subset in choice)
+        return tuple(sum(costs[name] // usage[name] for name in subset) for subset in choice)
 
-    return (Orientation.COST_MIN, _subset_labels(spec),
+    return (Orientation.COST_MIN, _subset_labels(spec), d,
             map(cell, itertools.product(*spec.strategies)))
 
 
 def _expand_congestion(spec: Congestion):
-    delays = {name: (a, b) for name, a, b in spec.facilities}
+    d = math.lcm(*(v.denominator for _, a, b in spec.facilities for v in (a, b)))
+    delays = {name: (int(a * d), int(b * d)) for name, a, b in spec.facilities}
 
     def cell(choice):
         usage = facility_usage(choice)
         delay_of = {name: delays[name][0] * count + delays[name][1]
                     for name, count in usage.items()}
-        return tuple(sum((delay_of[name] for name in subset), ZERO) for subset in choice)
+        return tuple(sum(delay_of[name] for name in subset) for subset in choice)
 
-    return (Orientation.COST_MIN, _subset_labels(spec),
+    return (Orientation.COST_MIN, _subset_labels(spec), d,
             map(cell, itertools.product(*spec.strategies)))
 
 
@@ -372,11 +403,13 @@ _EXPANSIONS: dict[type, Callable] = {
     ),
     NoNash2x2: _fixed(("C", "D"), (2, 2), (2, 0), (3, 0), (1, 1)),
     FLevelGame: _expand_f_level,
+    # over denominator 2: a player on E gets -1/2
     WeaklyAcyclic3x3: _fixed(
         ("H", "T", "E"),
-        (1, -1), (-1, 1), (-1, -HALF),
-        (-1, 1), (1, -1), (-1, -HALF),
-        (-HALF, -1), (-HALF, -1), (-HALF, -HALF),
+        (2, -2), (-2, 2), (-2, -1),
+        (-2, 2), (2, -2), (-2, -1),
+        (-1, -2), (-1, -2), (-1, -1),
+        denominator=2,
     ),
     CostSharing: _expand_cost_sharing,
     Congestion: _expand_congestion,
@@ -395,9 +428,9 @@ def generate(spec: FamilySpec, cap: int = DEFAULT_CELL_CAP) -> Game:
     expand = _EXPANSIONS.get(type(spec))
     if expand is None:
         raise ParamOutOfRange(f"unknown family spec: {spec!r}")
-    orientation, labels, cells = expand(spec)
+    orientation, labels, denominator, cells = expand(spec)
     check_cap(map(len, labels), cap)
-    return Game(orientation, labels, tuple(cells))
+    return Game._from_store(orientation, labels, denominator, tuple(zip(*cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +463,16 @@ def _pd_n_form(spec: PrisonersDilemmaN) -> SymmetricForm:
 
 
 def _public_goods_form(spec: PublicGoodsGrid) -> SymmetricForm:
-    values = spec.grid_values()
-    share = spec.c / spec.n
-    budget = spec.b
+    d, pay = _public_goods_rule(spec)
+
+    @cache
+    def value(j: int, steps: int) -> Fraction:
+        return Fraction(pay(j, steps), d)
 
     def pg_pay(j: int, rest: tuple[int, ...]) -> Fraction:
-        total = values[j] + sum(
-            (count * values[j2] for j2, count in enumerate(rest)), ZERO
-        )
-        return budget - values[j] + share * total
+        return value(j, j + sum(map(operator.mul, range(len(rest)), rest)))
 
-    return SymmetricForm(spec.n, tuple(str(v) for v in values), pg_pay)
+    return SymmetricForm(spec.n, _grid_labels(spec), pg_pay)
 
 
 def _travelers_form(_: TravelersDilemma) -> SymmetricForm:

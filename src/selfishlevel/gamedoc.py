@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,7 +107,8 @@ def _parse_sparse(entries, orientation, labels) -> Game:
             raise GameDocumentError(f"profile {raw_profile!r} must list {n} labels")
         profile = []
         for i, label in enumerate(raw_profile):
-            if label not in label_maps[i]:
+            # Labels are strings; an unhashable label cannot be looked up.
+            if not isinstance(label, str) or label not in label_maps[i]:
                 raise GameDocumentError(
                     f"player {i + 1} has no strategy labelled {label!r}"
                 )
@@ -161,20 +163,22 @@ def parse_game(text: str) -> Game:
     return parse_game_document(text).game
 
 
-def _payoff_json(value: Fraction):
-    if value.denominator == 1:
-        return value.numerator
-    return format_rational(value)
+def _dense_payoffs(game: Game) -> list:
+    """The payoff tensor as nested lists of ints and "p/q" strings.
 
-
-def _dense_payoffs(game: Game):
-    def build(depth: int, prefix: Profile):
-        if depth == game.player_count:
-            return [_payoff_json(v) for v in game.payoff_vector(prefix)]
-        return [build(depth + 1, prefix + (j,))
-                for j in range(game.strategy_counts[depth])]
-
-    return build(0, ())
+    Each distinct stored integer is formatted once; the flat cells are
+    then grouped by list slicing, innermost player first.
+    """
+    d = game.denominator
+    text = {}
+    for v in set(itertools.chain.from_iterable(game.columns)):
+        g = math.gcd(v, d)
+        text[v] = v // g if g == d else f"{v // g}/{d // g}"
+    nodes = [list(cell) for cell in zip(*(map(text.__getitem__, column)
+                                          for column in game.columns))]
+    for m in reversed(game.strategy_counts[1:]):
+        nodes = [nodes[k:k + m] for k in range(0, len(nodes), m)]
+    return nodes
 
 
 def document_to_obj(doc: GameDocument) -> dict:

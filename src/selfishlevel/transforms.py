@@ -17,10 +17,14 @@ equilibria and social optima under the matching parameter conversion:
 
 The conversion into model D only covers delta in [0, 1/2]; larger
 deltas are still a well-defined transform, just not reachable from A.
+
+Every transform here maps a value v to own*v + social*SW + constant, so
+each runs on the game's integer store and never on Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,12 +33,22 @@ from .core import ONE, ZERO, Game, parse_rational
 from .errors import NegativeAlpha, NonPositiveScale, ParamOutOfRange
 
 
-def _cell_transform(game: Game, fn) -> Game:
-    cells = []
-    for vec in game.payoffs:
-        total = sum(vec, ZERO)
-        cells.append(tuple(fn(v, total) for v in vec))
-    return game.with_payoffs(cells)
+def _linear(game: Game, own: Fraction, social: Fraction = ZERO,
+            constant: Fraction = ZERO) -> Game:
+    """Every value v at a cell with social value SW becomes
+    own*v + social*SW + constant.
+
+    On the store (values x/d), that is (a*x + b*W + c*d) / (d*k) with
+    integers a, b, c over the coefficients' common denominator k.
+    """
+    k = math.lcm(own.denominator, social.denominator, constant.denominator)
+    a, b, c = (int(coefficient * k) for coefficient in (own, social, constant))
+    c *= game.denominator
+    welfare = [sum(cell) for cell in zip(*game.columns)]
+    columns = tuple(tuple(a * x + b * w + c for x, w in zip(column, welfare))
+                    for column in game.columns)
+    return Game._from_store(game.orientation, game.strategy_labels,
+                            game.denominator * k, columns)
 
 
 def altruistic(game: Game, alpha) -> Game:
@@ -44,13 +58,13 @@ def altruistic(game: Game, alpha) -> Game:
         raise NegativeAlpha(f"altruism share must be >= 0, got {alpha}")
     if alpha == 0:
         return game
-    return _cell_transform(game, lambda v, total: v + alpha * total)
+    return _linear(game, ONE, alpha)
 
 
 def shift(game: Game, a) -> Game:
     """Add a constant to every value; the selfishness level is unchanged."""
     a = parse_rational(a)
-    return _cell_transform(game, lambda v, total: v + a)
+    return _linear(game, ONE, constant=a)
 
 
 def scale(game: Game, a) -> Game:
@@ -58,7 +72,7 @@ def scale(game: Game, a) -> Game:
     a = parse_rational(a)
     if a <= 0:
         raise NonPositiveScale(f"scale factor must be > 0, got {a}")
-    return _cell_transform(game, lambda v, total: v * a)
+    return _linear(game, a)
 
 
 def inverse_altruistic(game: Game, alpha) -> Game:
@@ -71,7 +85,7 @@ def inverse_altruistic(game: Game, alpha) -> Game:
     if alpha < 0:
         raise NegativeAlpha(f"altruism share must be >= 0, got {alpha}")
     factor = alpha / (1 + game.player_count * alpha)
-    return _cell_transform(game, lambda v, total: v - factor * total)
+    return _linear(game, ONE, -factor)
 
 
 def compose_check(game: Game, alpha, beta) -> bool:
@@ -83,7 +97,7 @@ def compose_check(game: Game, alpha, beta) -> bool:
         raise NegativeAlpha("altruism shares must be >= 0")
     combined = altruistic(game, alpha + beta)
     staged = altruistic(altruistic(game, alpha), beta / (1 + game.player_count * alpha))
-    return combined.payoffs == staged.payoffs
+    return combined == staged
 
 
 class AltruismModel(str, Enum):
@@ -138,8 +152,8 @@ def altruistic_model(game: Game, param: AltruismParam) -> Game:
     if param.model is AltruismModel.A:
         return altruistic(game, value)
     if param.model is AltruismModel.B:
-        share = value / game.player_count
-        return _cell_transform(game, lambda v, total: (ONE - value) * v + share * total)
+        return _linear(game, ONE - value, value / game.player_count)
     if param.model is AltruismModel.C:
-        return _cell_transform(game, lambda v, total: (ONE - value) * v + value * total)
-    return _cell_transform(game, lambda v, total: (ONE - value) * v + value * (total - v))
+        return _linear(game, ONE - value, value)
+    # (1 - delta)*v + delta*(SW - v)
+    return _linear(game, 1 - 2 * value, value)

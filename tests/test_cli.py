@@ -245,6 +245,20 @@ class TestExitCodes:
         code, _, _ = cli(["sweep", path, "--alphas", "0,-1/2"])
         assert code == 2
 
+    @pytest.mark.parametrize("profile,message", [
+        ([["x"], "y"], "player 1 has no strategy labelled ['x']"),
+        (["x", {"y": 1}], "player 2 has no strategy labelled {'y': 1}"),
+    ])
+    def test_unhashable_sparse_label_is_two(self, cli, profile, message):
+        document = json.dumps({
+            "orientation": "payoff",
+            "players": [{"name": "a", "strategies": ["x"]}, {"name": "b", "strategies": ["y"]}],
+            "payoffs": [{"profile": profile, "values": [1, 2]}],
+        })
+        code, _, err = cli(["level"], stdin_text=document)
+        assert code == 2
+        assert err == f"error: {message}\n"
+
     def test_explosion_guard_is_three(self, cli):
         code, _, err = cli(["generate", "public_goods",
                             "--param", "n=10", "b=1", "c=2", "k=5"])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from selfishlevel import families
 from selfishlevel import (
     BertrandParams,
     ClosedFormKind,
@@ -116,6 +117,18 @@ class TestExactRowsAgreeWithBruteForce:
     def test_f_level(self, f):
         spec = FLevelGame(n=3, f_value=f)
         assert closed_form_level(spec).value == selfishness_level(generate(spec)).level()
+
+    @pytest.mark.parametrize("name", [name for name, family in families.FAMILIES.items()
+                                      if not family.params])
+    def test_fixed_tables(self, name):
+        spec = families.FAMILIES[name].spec({})
+        closed = closed_form_level(spec)
+        level = selfishness_level(generate(spec))
+        if level.is_infinite:
+            assert closed.kind is ClosedFormKind.INFINITE
+        else:
+            assert closed.kind is ClosedFormKind.EXACT
+            assert closed.value == level.level()
 
 
 def _random_singleton_cost_sharing(rng):

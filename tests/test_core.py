@@ -11,9 +11,11 @@ from selfishlevel import (
     Orientation,
     PrisonersDilemmaN,
     TightFamily,
+    altruistic,
     format_rational,
     generate,
     parse_rational,
+    scale,
     tight_instance,
 )
 from selfishlevel.errors import (
@@ -150,3 +152,61 @@ def test_negation_round_trip(pd):
     assert flipped.orientation is Orientation.COST_MIN
     assert flipped.negated() == pd
     assert flipped.payoff((0, 0), 0) == -2
+
+
+class TestStore:
+    LABELS = (("a", "b"), ("c",))
+
+    @pytest.mark.parametrize("halves,wholes", [
+        (("2/4", "-6/4"), ("4/2", "0/5")),
+        ((Fraction(1, 2), Fraction(-3, 2)), (Fraction(2), Fraction(0))),
+        (("1/2", " -3/2 "), (2, 0)),
+    ])
+    def test_written_forms_give_one_store(self, halves, wholes):
+        game = Game(Orientation.PAYOFF_MAX, self.LABELS,
+                    ((halves[0], wholes[0]), (halves[1], wholes[1])))
+        assert game.denominator == 2
+        assert game.columns == ((1, -3), (4, 0))
+        reference = Game(Orientation.PAYOFF_MAX, self.LABELS,
+                         ((Fraction(1, 2), 2), (Fraction(-3, 2), 0)))
+        assert game == reference and hash(game) == hash(reference)
+        assert game.payoffs == ((Fraction(1, 2), 2), (Fraction(-3, 2), 0))
+        assert all(type(v) is Fraction for cell in game.payoffs for v in cell)
+
+    def test_integer_table_has_denominator_one(self):
+        game = Game(Orientation.COST_MIN, self.LABELS, (("4/2", 3), (Fraction(-8, 4), "0")))
+        assert (game.denominator, game.columns) == (1, ((2, -2), (3, 0)))
+
+    def test_derived_games_reduce_to_the_canonical_store(self, pd):
+        assert pd.negated().negated() == pd
+        assert hash(pd.negated().negated()) == hash(pd)
+        rescaled = scale(scale(pd, Fraction(3, 2)), Fraction(2, 3))
+        assert rescaled == pd and rescaled.denominator == 1
+        shared = altruistic(pd, Fraction(1, 3))
+        direct = Game(pd.orientation, pd.strategy_labels,
+                      [tuple(v + Fraction(1, 3) * sum(vec) for v in vec) for vec in pd.payoffs])
+        assert shared == direct and shared.denominator == 3
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_equality_is_equality_of_exact_tables(self, orientation):
+        # Small shapes and few values, so that equal tables are common.
+        rng = random.Random(17)
+        games = []
+        for _ in range(500):
+            counts = rng.choice(((1, 1), (1, 2), (2, 1)))
+            labels = tuple(tuple(f"s{j}" for j in range(m)) for m in counts)
+            cells = [tuple(rng.choice((0, Fraction(1, 2), Fraction(-1, 3))) for _ in counts)
+                     for _ in range(counts[0] * counts[1])]
+            games.append(Game(orientation, labels, [
+                tuple(rng.choice((q, f"{2 * q.numerator}/{2 * q.denominator}")) for q in cell)
+                for cell in cells]))
+        equal_pairs = 0
+        for k, game in enumerate(games):
+            for other in games[max(0, k - 10):k]:
+                same = (other.strategy_labels, other.payoffs) == (game.strategy_labels, game.payoffs)
+                assert (other == game) is same
+                if same:
+                    equal_pairs += 1
+                    assert hash(other) == hash(game)
+        assert equal_pairs > 30
+

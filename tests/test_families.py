@@ -90,6 +90,25 @@ class TestPublicGoodsGrid:
             game = generate(PublicGoodsGrid(n=n, b=1, c=c, grid_steps=k))
             assert selfishness_level(game).level() == expected
 
+    @pytest.mark.parametrize("n,b,c,k", [
+        (3, 0, 2, 2), (3, Fraction(5, 7), Fraction(9, 4), 4),
+        (4, 1, Fraction(3, 2), 3), (2, 3, Fraction(7, 5), 6),
+    ])
+    def test_compact_payoff_is_the_dense_table(self, n, b, c, k):
+        # b - v_j + (c/n) * total, against both the callback and the table
+        spec = PublicGoodsGrid(n=n, b=b, c=c, grid_steps=k)
+        game = generate(spec)
+        form = symmetric_form(spec)
+        values = spec.grid_values()
+        m = len(values)
+        for j in range(m):
+            for others in itertools.combinations_with_replacement(range(m), n - 1):
+                rest = tuple(others.count(j2) for j2 in range(m))
+                total = values[j] + sum(values[j2] for j2 in others)
+                expected = spec.b - values[j] + spec.c / n * total
+                assert form.payoff(j, rest) == expected
+                assert game.payoff((j, *others), 0) == expected
+
     def test_zero_budget_collapses_grid(self):
         game = generate(PublicGoodsGrid(n=2, b=0, c=2, grid_steps=3))
         assert game.strategy_counts == (1, 1)

@@ -7,7 +7,11 @@ from pathlib import Path
 import pytest
 
 from selfishlevel import (
+    Game,
     Orientation,
+    PublicGoodsGrid,
+    core,
+    generate,
     parse_game,
     parse_game_document,
     render_game_document,
@@ -19,6 +23,7 @@ from selfishlevel.errors import (
     DuplicateProfile,
     ExplosionGuard,
     GameDocumentError,
+    GameError,
     MissingProfile,
     ZeroDenominator,
 )
@@ -90,6 +95,79 @@ class TestParsing:
             parse_game_document(json.dumps(obj), cap=3)
         with pytest.raises(DimensionMismatch):
             parse_game_document(json.dumps(obj), cap=4)
+
+
+# A raw payoff value and what it reads as: a Fraction, or (error type, message).
+RAW_VALUES = [
+    (True, (GameError, "not a rational value: True")),
+    (None, (GameError, "not a rational value: None")),
+    ([1], (GameError, "not a rational value: [1]")),
+    ({}, (GameError, "not a rational value: {}")),
+    ("1.5", (GameError, "not an exact rational literal: '1.5'")),
+    ("1e3", (GameError, "not an exact rational literal: '1e3'")),
+    ("1/0", (ZeroDenominator, "zero denominator in '1/0'")),
+    ("abc", (GameError, "not a rational literal: 'abc'")),
+    (" 3/4 ", Fraction(3, 4)),
+    ("3 /4", (GameError, "not a rational literal: '3 /4'")),
+    ("+3/4", Fraction(3, 4)),
+    ("1_000", Fraction(1000)),
+    ("\u0663", Fraction(3)),
+    ("3/-4", (GameError, "not a rational literal: '3/-4'")),
+    (10**30, Fraction(10**30)),
+    ("-0", Fraction(0)),
+]
+LABELS = (("x", "y"), ("u",))
+
+
+def _dense_text(raw) -> str:
+    return json.dumps({
+        "orientation": "payoff",
+        "players": [{"name": "a", "strategies": ["x", "y"]}, {"name": "b", "strategies": ["u"]}],
+        "payoffs": [[[raw, 1]], [[2, "1/3"]]],
+    })
+
+
+def _sparse_text(raw) -> str:
+    return json.dumps({
+        "orientation": "payoff",
+        "players": [{"name": "a", "strategies": ["x", "y"]}, {"name": "b", "strategies": ["u"]}],
+        "payoffs": [{"profile": ["x", "u"], "values": [raw, 1]},
+                    {"profile": ["y", "u"], "values": [2, "1/3"]}],
+    })
+
+
+@pytest.mark.parametrize("build", [
+    lambda raw: parse_game(_dense_text(raw)),
+    lambda raw: parse_game(_sparse_text(raw)),
+    lambda raw: Game(Orientation.PAYOFF_MAX, LABELS, ((raw, 1), (2, "1/3"))),
+], ids=["dense", "sparse", "Game"])
+@pytest.mark.parametrize("raw,expected", RAW_VALUES, ids=[repr(raw) for raw, _ in RAW_VALUES])
+def test_raw_payoff_values(build, raw, expected):
+    if isinstance(expected, Fraction):
+        game = build(raw)
+        assert game.payoff((0, 0), 0) == expected
+        assert game.payoffs == ((expected, 1), (2, Fraction(1, 3)))
+        return
+    kind, message = expected
+    with pytest.raises(GameError) as info:
+        build(raw)
+    assert type(info.value) is kind
+    assert str(info.value) == message
+
+
+def test_each_distinct_literal_is_parsed_once(monkeypatch):
+    game = generate(PublicGoodsGrid(n=8, b=1, c=2, grid_steps=2))
+    text = render_game_document(GameDocument.from_game(game))
+    nested = json.loads(text)["payoffs"]
+    for _ in range(game.player_count):
+        nested = [entry for node in nested for entry in node]
+    literals = {(type(v), v) for v in nested}
+    assert len(nested) == 6561 * 8 and len(literals) == 21
+    calls = []
+    real = core.parse_rational
+    monkeypatch.setattr(core, "parse_rational", lambda raw: calls.append(raw) or real(raw))
+    assert parse_game(text) == game
+    assert len(calls) <= len(literals)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir()))
