@@ -23,14 +23,22 @@ from fractions import Fraction
 
 from . import analysis, closedform, families, gamedoc, transforms
 from .core import parse_rational
-from .errors import ExplosionGuard, GameError, ParamOutOfRange
+from .errors import ExplosionGuard, GameDocumentError, GameError, ParamOutOfRange
 
 
 def _read_text(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    stdin = path is None or path == "-"
+    try:
+        if stdin:
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as e:
+        raise GameDocumentError(f"cannot read {path!r}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        source = "standard input" if stdin else repr(path)
+        raise GameDocumentError(
+            f"{source} is not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
 def _parse_params(groups: list[list[str]] | None) -> dict[str, Fraction]:

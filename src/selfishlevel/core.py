@@ -97,35 +97,35 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
-def _scaled(table) -> tuple[int, list[tuple[int, ...]]]:
-    """Rows of raw rationals as (denominator, rows of ints): every value
-    times the least common denominator of the table.
+def _scaled(values) -> tuple[int, list[int]]:
+    """A flat sequence of raw rationals as (denominator, ints): every value
+    times the least common denominator of the sequence.
 
-    Each distinct raw value, keyed by its type and value, goes through
-    ``parse_rational`` once, in order of first appearance, so the first
-    bad value in the table raises, as it would if every value were
-    parsed in turn.  A table holding Fractions is read value by value
-    instead: they need no parsing, and hashing one costs more than that.
+    Each distinct raw value goes through ``parse_rational`` once, in
+    order of first appearance, so the first bad value raises, as it would if every value were parsed in turn.
+    A sequence holding Fractions is read value by value instead: they
+    need no parsing, and hashing one costs more than that.
     """
-    rows = [tuple(row) for row in table]
-    flat = list(itertools.chain(*rows))
     keys = None
-    if Fraction in set(map(type, flat)):
-        exact = list(map(parse_rational, flat))
+    types = set(map(type, values))
+    if Fraction in types:
+        exact = list(map(parse_rational, values))
     else:
-        keys = list(zip(map(type, flat), flat))
+        # No int equals a str, so those are their own keys; any other type
+        # is keyed with its value, so that True is not taken for 1.
+        keys = values if types <= {int, str} else list(zip(map(type, values), values))
         try:
             distinct = dict.fromkeys(keys)
         except TypeError:  # an unhashable value; parse_rational rejects it, or an earlier one
-            list(map(parse_rational, flat))
+            list(map(parse_rational, values))
             raise
-        exact = [parse_rational(raw) for _, raw in distinct]
+        raws = distinct if keys is values else (raw for _, raw in distinct)
+        exact = list(map(parse_rational, raws))
     denominator = math.lcm(*{q.denominator for q in exact})
     scaled = [q.numerator * (denominator // q.denominator) for q in exact]
-    if keys is not None:  # one int per distinct key: spread them over the table
-        scaled = map(dict(zip(distinct, scaled)).__getitem__, keys)
-    values = iter(scaled)
-    return denominator, [tuple(itertools.islice(values, len(row))) for row in rows]
+    if keys is not None:  # one int per distinct key: spread them over the sequence
+        scaled = list(map(dict(zip(distinct, scaled)).__getitem__, keys))
+    return denominator, scaled
 
 
 def _check_shape(labels, cells: int, widths: Iterable[int]) -> None:
@@ -153,9 +153,41 @@ def _check_shape(labels, cells: int, widths: Iterable[int]) -> None:
 
 def _store(labels, payoffs) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(denominator, columns) of a raw payoff table, checked against ``labels``."""
-    denominator, cells = _scaled(payoffs)
-    _check_shape(labels, len(cells), map(len, cells))
-    return denominator, tuple(zip(*cells))
+    cells = list(map(tuple, payoffs))
+    return _columns(labels, list(itertools.chain.from_iterable(cells)),
+                    len(cells), map(len, cells))
+
+
+def _columns(labels, values, cells: int, widths) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(denominator, columns) of the flat ``values`` of ``cells`` payoff
+    vectors of lengths ``widths``: the values are parsed first, then the
+    shape is checked against ``labels``."""
+    denominator, scaled = _scaled(values)
+    _check_shape(labels, cells, widths)
+    n = len(labels)
+    return denominator, tuple(tuple(scaled[i::n]) for i in range(n))
+
+
+def _dense_fault(nested, widths: list[int]) -> None:
+    """Raise DimensionMismatch for the first malformed node of a nested
+    payoff table in depth-first order: a node at depth d < n must be a
+    list or tuple of ``widths[d]`` entries, and a leaf a vector of n."""
+    n = len(widths) - 1
+
+    def walk(node, depth: int):
+        if depth == n:
+            if not isinstance(node, (list, tuple)) or len(node) != n:
+                raise DimensionMismatch(f"expected a vector of {n} payoffs, got {node!r}")
+            return
+        if not isinstance(node, (list, tuple)) or len(node) != widths[depth]:
+            raise DimensionMismatch(
+                f"expected {widths[depth]} entries for player {depth + 1}, "
+                f"got {len(node) if isinstance(node, (list, tuple)) else node!r}"
+            )
+        for child in node:
+            walk(child, depth + 1)
+
+    walk(nested, 0)
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -222,30 +254,20 @@ class Game:
 
         The table is nested once per player (outermost index: player 1's
         strategy) and its innermost entries are length-n payoff vectors.
+        It is checked and flattened one depth at a time; on a fault,
+        ``_dense_fault`` reports the first one in depth-first order.
         """
         labels = tuple(tuple(per_player) for per_player in strategy_labels)
         n = len(labels)
-        counts = tuple(len(per_player) for per_player in labels)
-        flat: list[tuple] = []
-
-        def walk(node, depth: int):
-            if depth == n:
-                if not isinstance(node, (list, tuple)) or len(node) != n:
-                    raise DimensionMismatch(
-                        f"expected a vector of {n} payoffs, got {node!r}"
-                    )
-                flat.append(tuple(node))
-                return
-            if not isinstance(node, (list, tuple)) or len(node) != counts[depth]:
-                raise DimensionMismatch(
-                    f"expected {counts[depth]} entries for player {depth + 1}, "
-                    f"got {len(node) if isinstance(node, (list, tuple)) else node!r}"
-                )
-            for child in node:
-                walk(child, depth + 1)
-
-        walk(nested, 0)
-        return cls(orientation, labels, tuple(flat))
+        widths = [len(per_player) for per_player in labels] + [n]
+        nodes = [nested]
+        for width in widths:
+            if not (all(map(isinstance, nodes, itertools.repeat((list, tuple))))
+                    and all(map(width.__eq__, map(len, nodes)))):
+                _dense_fault(nested, widths)
+            nodes = list(itertools.chain.from_iterable(nodes))
+        cells = math.prod(widths[:n])
+        return cls._from_store(orientation, labels, *_columns(labels, nodes, cells, ()))
 
     @classmethod
     def from_profile_map(cls, orientation: Orientation, strategy_labels, cells) -> "Game":
@@ -464,6 +486,7 @@ class _Kernel(_Space):
         Player i's value there is a positive multiple of
         ``q * values[i][c] + p * welfare[c]``, so comparing those integers
         along the player's stride axis decides every deviation exactly.
+        Each axis segment's maximum is taken once, by its first cell.
         """
         welfare = self.welfare
         cells = range(len(welfare)) if cells is None else cells
@@ -472,10 +495,14 @@ class _Kernel(_Space):
                 values = [q * v + p * w for v, w in zip(values, welfare)]
             stride, m = self.strides[i], self.counts[i]
             span = m * stride
+            tops: dict[int, int] = {}
             kept = []
             for c in cells:
                 start = c - c // stride % m * stride
-                if max(values[start:start + span:stride]) <= values[c]:
+                top = tops.get(start)
+                if top is None:
+                    top = tops[start] = max(values[start:start + span:stride])
+                if top <= values[c]:
                     kept.append(c)
             cells = kept
         return cells
@@ -519,10 +546,10 @@ class _Orbits(_Space):
         self.index = {counts: cell for cell, counts in enumerate(self.counts)}
         rests = [_counts(others, m)
                  for others in itertools.combinations_with_replacement(range(m), n - 1)]
-        self.denominator, rows = _scaled([payoff(j, rest) for j in range(m)] for rest in rests)
+        self.denominator, values = _scaled([payoff(j, rest) for rest in rests for j in range(m)])
         if orientation is Orientation.COST_MIN:
-            rows = [[-v for v in row] for row in rows]
-        self.rows = dict(zip(rests, rows))
+            values = [-v for v in values]
+        self.rows = {rest: values[k:k + m] for rest, k in zip(rests, range(0, len(values), m))}
         self.welfare = [sum(self.counts[cell][j] * row[j] for _, j, _, row in self._groups(cell))
                         for cell in range(len(self.cells))]
 

@@ -633,23 +633,22 @@ class Family:
     def spec(self, params: dict[str, Fraction]):
         """The spec for parsed ``--param`` values.
 
-        Raises ParamOutOfRange for a missing or non-integer parameter,
-        then for whatever the constructor rejects, then for keys the
-        family does not take.
+        Raises ParamOutOfRange for keys the family does not take, then
+        for a missing or non-integer parameter, then for whatever the
+        constructor rejects.
         """
-        left = dict(params)
+        unknown = set(params).difference(p.key for p in self.params)
+        if unknown:
+            raise ParamOutOfRange(f"unknown parameters: {', '.join(sorted(unknown))}")
         kwargs = {}
         for p in self.params:
-            if p.key not in left and p.default is None:
+            if p.key not in params and p.default is None:
                 raise ParamOutOfRange(f"missing required parameter {p.key!r}")
-            value = left.pop(p.key, p.default)
+            value = params.get(p.key, p.default)
             if p.kind is int and value.denominator != 1:
                 raise ParamOutOfRange(f"parameter {p.key!r} must be an integer, got {value}")
             kwargs[p.keyword or p.key] = p.kind(value)
-        spec = self.build(**kwargs)
-        if left:
-            raise ParamOutOfRange(f"unknown parameters: {', '.join(sorted(left))}")
-        return spec
+        return self.build(**kwargs)
 
 
 #: The families ``generate`` (and ``closedform``) accept, by CLI name.

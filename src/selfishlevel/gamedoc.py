@@ -10,6 +10,15 @@ strings; floats are rejected.
 Reports echo the parsed game, so re-parsing a report's game section
 reproduces the game exactly.  Timings live outside the comparable
 report body.
+
+Documents and reports are written in the layout of ``json.dumps(obj,
+indent=2)`` plus a newline, byte for byte.  The payoff tensor's text is
+written by hand, since the indenting encoder is pure Python: each
+distinct value is encoded once, and the separators between values and
+between cells are precomputed per depth.  The rest of the object goes
+through ``json.dumps`` with a placeholder where the tensor belongs, and
+the parts are joined once.  The dense tensor is read back one depth at
+a time, in ``Game.from_dense``.
 """
 
 from __future__ import annotations
@@ -65,6 +74,8 @@ def _load_json(text: str):
         return json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(e.msg, e.lineno, e.colno) from None
+    except RecursionError:
+        raise DocumentSyntaxError("document nested too deeply to read") from None
 
 
 def _parse_players(obj) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
@@ -192,9 +203,67 @@ def document_to_obj(doc: GameDocument) -> dict:
     }
 
 
+def _tensor_parts(payoffs: list, counts: list[int], level: int) -> list[str]:
+    """The indented JSON text of a payoff tensor with ``counts`` strategies
+    per player, whose key sits at nesting ``level``, as parts to join.
+
+    Each distinct value is encoded once.  The parts alternate value texts
+    and separators: within a cell, a comma and the innermost indent;
+    between two cells, the one text that closes the lists below the
+    outermost axis that changes, writes the comma and opens them again.
+    """
+    n = len(counts)
+    values = payoffs
+    for _ in range(n):
+        values = list(itertools.chain.from_iterable(values))
+    text = {v: json.dumps(v) for v in set(values)}
+
+    def opening(depth):  # a list at ``depth`` (the leaf vector is depth n)
+        return "[\n" + "  " * (level + depth + 1)
+
+    def closing(depth):
+        return "\n" + "  " * (level + depth) + "]"
+
+    # between[k]: between two cells whose outermost changing axis is k
+    between = ["".join(map(closing, range(n, k, -1))) + ",\n" + "  " * (level + k + 1)
+               + "".join(map(opening, range(k + 1, n + 1))) for k in range(n)]
+    seps: list[str] = []
+    for k in reversed(range(n)):  # the separators inside one block of axes k..n-1
+        seps = (seps + [between[k]]) * (counts[k] - 1) + seps
+    parts = [",\n" + "  " * (level + n + 1)] * (2 * len(values) - 1)
+    parts[::2] = map(text.__getitem__, values)
+    parts[2 * n - 1::2 * n] = seps
+    parts.insert(0, "".join(map(opening, range(n + 1))))
+    parts.append("".join(map(closing, range(n, -1, -1))))
+    return parts
+
+
+def _document_parts(obj: dict, level: int) -> list[str]:
+    """The indented JSON text of a document object at nesting ``level``,
+    as parts to join.
+
+    All but the payoff tensor goes through ``json.dumps``; ``payoffs``
+    is the object's last key, so the tensor's text takes the place of a
+    placeholder at the very end.
+    """
+    pad = "\n" + "  " * level
+    head = json.dumps({**obj, "payoffs": 0}, indent=2).replace("\n", pad)
+    counts = [len(player["strategies"]) for player in obj["players"]]
+    parts = _tensor_parts(obj["payoffs"], counts, level + 1)
+    parts.insert(0, head[:-len(pad) - 2])
+    parts.append(pad + "}")
+    return parts
+
+
 def render_game_document(doc: GameDocument) -> str:
-    """Canonical dense JSON text; parsing it back reproduces the game."""
-    return json.dumps(document_to_obj(doc), indent=2) + "\n"
+    """Canonical dense JSON text; parsing it back reproduces the game.
+
+    The text is ``json.dumps(document_to_obj(doc), indent=2)`` plus a
+    newline, written in one join.
+    """
+    parts = _document_parts(document_to_obj(doc), 0)
+    parts.append("\n")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -274,5 +343,20 @@ def sweep_report(doc: GameDocument, alphas) -> dict:
 
 
 def render_report(body: dict, timings: dict | None = None) -> str:
-    """Wrap a deterministic report body with segregated timings."""
-    return json.dumps({"report": body, "timings": timings or {}}, indent=2) + "\n"
+    """Wrap a deterministic report body with segregated timings.
+
+    The text is ``json.dumps({"report": body, "timings": timings},
+    indent=2)`` plus a newline.  A body whose first key is ``game``
+    (a document object) has that object written by ``_document_parts``,
+    in place of a placeholder at the start of the rest.
+    """
+    wrapper = {"report": body, "timings": timings or {}}
+    if next(iter(body), None) != "game":
+        return json.dumps(wrapper, indent=2) + "\n"
+    wrapper["report"] = {**body, "game": 0}
+    rest = json.dumps(wrapper, indent=2)
+    prefix = '{\n  "report": {\n    "game": '
+    parts = _document_parts(body["game"], 2)
+    parts.insert(0, prefix)
+    parts += (rest[len(prefix) + 1:], "\n")
+    return "".join(parts)

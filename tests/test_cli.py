@@ -175,6 +175,22 @@ class TestComposability:
         assert code == 0
         assert out == expected + "\n"
 
+    @pytest.mark.parametrize("argv", [argv for argv, _ in FAMILIES],
+                             ids=[argv[0] for argv, _ in FAMILIES])
+    def test_output_is_the_reference_encoding(self, cli, argv):
+        code, document, _ = cli(["generate", *argv])
+        assert code == 0
+        outputs = [document]
+        for command in (["analyze"], ["dynamics"], ["sweep", "--alphas", "0,1/2,1,7/2"]):
+            code, out, _ = cli(command, stdin_text=document)
+            assert code == 0
+            outputs.append(out)
+        code, out, _ = cli(["closedform", *argv])
+        if code == 0:  # closedform takes the continuous public_goods, without k
+            outputs.append(out)
+        for out in outputs:
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
     def test_every_registered_family_is_piped(self):
         assert [argv[0] for argv, _ in self.FAMILIES] == list(families.FAMILIES)
 
@@ -222,11 +238,37 @@ class TestExitCodes:
          "parameter 'n' must be an integer, got 3/2"),
         (["closedform", "public_goods", "--param", "n=5/2", "c=2"],
          "parameter 'n' must be an integer, got 5/2"),
+        (["generate", "pd_n", "--param", "n=1", "x=1"], "unknown parameters: x"),
+        (["generate", "pd_n", "--param", "m=3"], "unknown parameters: m"),
     ])
     def test_parameter_errors_are_two(self, cli, argv, message):
         code, _, err = cli(argv)
         assert code == 2
         assert err == f"error: {message}\n"
+
+    @staticmethod
+    def _unreadable(case: str, tmp_path: Path) -> tuple[Path, str]:
+        """An input that cannot be read as a document, and its error text."""
+        path = tmp_path / f"{case}.json"
+        if case == "missing":
+            return path, f"cannot read {str(path)!r}: No such file or directory"
+        if case == "directory":
+            return tmp_path, f"cannot read {str(tmp_path)!r}: Is a directory"
+        if case == "latin-1":
+            path.write_bytes('{"orientation": "caf\xe9"}'.encode("latin-1"))
+            return path, f"{str(path)!r} is not UTF-8 text: invalid continuation byte at byte 20"
+        # A valid document nested deeper than the JSON decoder recurses.
+        depth = 2 * sys.getrecursionlimit()
+        players = [{"name": f"p{i}", "strategies": ["s"]} for i in range(depth)]
+        path.write_text('{"orientation": "payoff", "players": ' + json.dumps(players)
+                        + ', "payoffs": ' + "[" * depth + "[" + ", ".join(["0"] * depth)
+                        + "]" * (depth + 1) + "}")
+        return path, "document nested too deeply to read"
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "latin-1", "deep"])
+    def test_unreadable_input_is_two(self, cli, tmp_path, case):
+        path, message = self._unreadable(case, tmp_path)
+        assert cli(["level", str(path)]) == (2, "", f"error: {message}\n")
 
     def test_closedform_public_goods_is_continuous(self, cli):
         # The continuous family takes no grid size and defaults b to 1.

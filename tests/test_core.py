@@ -1,5 +1,6 @@
 """Game model: construction, validation, lookups, enumeration."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from selfishlevel.errors import (
 )
 
 from conftest import two_player
-from oracles import random_game
+from oracles import naive_pure_nash, random_game
 
 
 class TestValidation:
@@ -177,6 +178,12 @@ class TestStore:
         game = Game(Orientation.COST_MIN, self.LABELS, (("4/2", 3), (Fraction(-8, 4), "0")))
         assert (game.denominator, game.columns) == (1, ((2, -2), (3, 0)))
 
+    @pytest.mark.parametrize("cells", [((1, True), (0, 0)), ((1.0, 1), (0, 0)),
+                                       (("1", 1), (0, 1.0))])
+    def test_equal_values_of_other_types_are_parsed(self, cells):
+        with pytest.raises(GameError, match="not a rational value: True|floating-point"):
+            Game(Orientation.PAYOFF_MAX, self.LABELS, cells)
+
     def test_derived_games_reduce_to_the_canonical_store(self, pd):
         assert pd.negated().negated() == pd
         assert hash(pd.negated().negated()) == hash(pd)
@@ -210,3 +217,90 @@ class TestStore:
                     assert hash(other) == hash(game)
         assert equal_pairs > 30
 
+
+
+L23 = (("a", "b"), ("x", "y", "z"))
+L222 = (("a", "b"),) * 3
+V2, V3 = [1, 2], [1, 2, 3]
+
+# A nested table and the error it raises: the first fault in depth-first
+# order, whatever the depth, and value and label faults only after the shape.
+MALFORMED = [
+    ("player 1 count", L23, [[V2] * 3], DimensionMismatch,
+     "expected 2 entries for player 1, got 1"),
+    ("player 2 count", L23, [[V2] * 3, [V2] * 2], DimensionMismatch,
+     "expected 3 entries for player 2, got 2"),
+    ("vector length", L23, [[V2] * 3, [V2, V3, V2]], DimensionMismatch,
+     "expected a vector of 2 payoffs, got [1, 2, 3]"),
+    ("empty vector", L23, [[V2] * 3, [V2, V2, []]], DimensionMismatch,
+     "expected a vector of 2 payoffs, got []"),
+    ("string root", L23, "oops", DimensionMismatch,
+     "expected 2 entries for player 1, got 'oops'"),
+    ("dict node", L23, [[V2] * 3, {"x": V2}], DimensionMismatch,
+     "expected 3 entries for player 2, got {'x': [1, 2]}"),
+    ("int node", L23, [[V2] * 3, 5], DimensionMismatch,
+     "expected 3 entries for player 2, got 5"),
+    ("scalar leaf", L23, [[V2, 7, V2], [V2] * 3], DimensionMismatch,
+     "expected a vector of 2 payoffs, got 7"),
+    ("string leaf", L23, [[V2] * 3, [V2, V2, "12"]], DimensionMismatch,
+     "expected a vector of 2 payoffs, got '12'"),
+    ("tuple fault", L23, ((V2, V2), [V2] * 3), DimensionMismatch,
+     "expected 3 entries for player 2, got 2"),
+    ("deeper fault first", L23, [[V2, V2, [1]], "bad"], DimensionMismatch,
+     "expected a vector of 2 payoffs, got [1]"),
+    ("deeper fault first, 3 players", L222,
+     [[[V3, V3], [V3, [1, 2]]], [[V3, V3], [V3]]], DimensionMismatch,
+     "expected a vector of 3 payoffs, got [1, 2]"),
+    ("shallower fault first, 3 players", L222,
+     [[[V3, V3], [V3]], [[V3, V3], [V3, [1, 2]]]], DimensionMismatch,
+     "expected 2 entries for player 3, got 1"),
+    ("float value", L23, [[V2] * 3, [V2, [1, 0.5], V2]], GameError,
+     "floating-point value 0.5 rejected; write it as an integer or a 'p/q' string"),
+    ("value fault before label fault", (("a", "a"), ("x", "y", "z")),
+     [[V2] * 3, [V2, ["1/0", 1], V2]], ZeroDenominator, "zero denominator in '1/0'"),
+    ("label fault", (("a", "a"), ("x", "y", "z")), [[V2] * 3] * 2, DuplicateLabel,
+     "player 1 has duplicate strategy labels"),
+    ("empty strategy set", (("a",), ()), [[]], EmptyStrategySet,
+     "player 2 has no strategies"),
+    ("one player", (("a", "b"),), [[1], [2]], PlayerCountTooSmall,
+     "a strategic game needs more than one player, got 1"),
+    ("no players", (), [], PlayerCountTooSmall,
+     "a strategic game needs more than one player, got 0"),
+]
+
+
+class TestFromDense:
+    @pytest.mark.parametrize("labels,nested,kind,message",
+                             [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_malformed_table(self, labels, nested, kind, message):
+        with pytest.raises(GameError) as info:
+            Game.from_dense(Orientation.PAYOFF_MAX, labels, nested)
+        assert type(info.value) is kind
+        assert str(info.value) == message
+
+    def test_tuples_read_as_lists(self):
+        nested = [[[1, "1/2"], [3, 4], [-5, 6]], [[7, 8], [9, 10], [11, 12]]]
+        as_tuples = tuple(tuple(tuple(cell) for cell in row) for row in nested)
+        game = Game.from_dense(Orientation.COST_MIN, L23, as_tuples)
+        assert game == Game.from_dense(Orientation.COST_MIN, L23, nested)
+        assert game == Game(Orientation.COST_MIN, L23, [cell for row in nested for cell in row])
+        assert (game.denominator, game.columns[0]) == (2, (2, 6, -10, 14, 18, 22))
+
+
+@pytest.mark.parametrize("counts", [(2, 40), (40, 2), (3, 1, 30), (30, 1, 3)])
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_equilibria_on_long_axes(counts, orientation):
+    # Few distinct values, so that an axis often has several maxima.
+    rng = random.Random(str(counts))
+    labels = tuple(tuple(f"s{j}" for j in range(m)) for m in counts)
+    cells = [tuple(rng.randint(-3, 3) for _ in counts) for _ in range(math.prod(counts))]
+    game = Game(orientation, labels, cells)
+    kernel = game._kernel
+    optimal = [kernel.profile(c) for c in kernel.optima]
+    for alpha in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2)):
+        nash = naive_pure_nash(altruistic(game, alpha))
+        found = kernel.equilibria(alpha.numerator, alpha.denominator)
+        assert [kernel.profile(c) for c in found] == nash
+        stable = kernel.equilibria(alpha.numerator, alpha.denominator, kernel.optima)
+        assert [kernel.profile(c) for c in stable] == [s for s in optimal if s in nash]

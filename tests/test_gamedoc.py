@@ -1,6 +1,8 @@
 """Game-document parsing, rendering, and report structure."""
 
 import json
+import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +29,13 @@ from selfishlevel.errors import (
     MissingProfile,
     ZeroDenominator,
 )
-from selfishlevel.gamedoc import GameDocument, analyze_report, document_to_obj
+from selfishlevel.gamedoc import (
+    GameDocument,
+    analyze_report,
+    document_to_obj,
+    dynamics_report,
+    sweep_report,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -215,3 +223,43 @@ class TestReports:
     def test_document_object_is_json_safe(self, pd):
         doc = GameDocument.from_game(pd)
         json.dumps(document_to_obj(doc))
+
+
+# Names and labels that a hand-written layout could get wrong.
+HOSTILE = ['"', "\\", "caf\u00e9", "\u2603", "\x00\n\t", "payoffs", '"payoffs": [', "]",
+           ",", "[\n  ", "}", "p1"]
+VALUES = [0, -1, 7, Fraction(-2, 3), Fraction(5, 7), 10**30, Fraction(-(10**30), 3)]
+
+
+def _reference(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _hostile_document(rng: random.Random) -> GameDocument:
+    counts = [rng.randint(1, 5) for _ in range(rng.randint(2, 4))]
+    labels = [[f"{rng.choice(HOSTILE)}{j}" for j in range(m)] for m in counts]
+    names = [f"{rng.choice(HOSTILE)}{i}" for i in range(len(counts))]
+    pool = rng.sample(VALUES, 3)
+    cells = [tuple(rng.choice(pool) for _ in counts) for _ in range(math.prod(counts))]
+    orientation = rng.choice(list(Orientation))
+    return GameDocument(Game(orientation, labels, cells), names)
+
+
+def test_rendering_equals_the_reference_encoder(matching_pennies):
+    rng = random.Random(8)
+    docs = [_hostile_document(rng) for _ in range(60)]
+    docs.append(GameDocument(matching_pennies, ['"payoffs"', "\\u0000"]))
+    kinds = set()
+    for doc in docs:
+        assert render_game_document(doc) == _reference(document_to_obj(doc))
+        analyze = analyze_report(doc)
+        kinds.add(analyze["selfishness_level"]["kind"])
+        bodies = [analyze, dynamics_report(doc, 10**7),
+                  sweep_report(doc, [Fraction(0), Fraction(1, 2), Fraction(3)])]
+        for body in bodies:
+            timings = {"analyze_seconds": rng.random() / 7}
+            assert render_report(body, timings) == _reference({"report": body, "timings": timings})
+            assert render_report(body) == _reference({"report": body, "timings": {}})
+    assert kinds == {"zero", "finite", "infinite"}
+    closed = {"family": "pd_n", "result": {"kind": "finite", "value": "1/3", "tight": True}}
+    assert render_report(closed, {"t": 0.5}) == _reference({"report": closed, "timings": {"t": 0.5}})
