@@ -30,12 +30,16 @@ def _read_text(path: str | None) -> str:
     stdin = path is None or path == "-"
     try:
         if stdin:
-            return sys.stdin.read()
+            text = sys.stdin.read()
+            if not text.isascii():
+                # Undecodable bytes arrive as lone surrogates: decoding again names the first.
+                text.encode("utf-8", "surrogateescape").decode("utf-8")
+            return text
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as e:
         raise GameDocumentError(f"cannot read {path!r}: {e.strerror or e}") from None
-    except UnicodeDecodeError as e:
+    except UnicodeError as e:
         source = "standard input" if stdin else repr(path)
         raise GameDocumentError(
             f"{source} is not UTF-8 text: {e.reason} at byte {e.start}") from None

@@ -22,9 +22,9 @@ stay exact; Fractions reappear only in the values a caller gets back.
 Two profile spaces share that integer form: ``_Kernel``, a game's dense
 table, and ``_Orbits``, a symmetric game given compactly, with one cell
 per player-permutation orbit.  Each supplies its welfare vector and its
-strictly improving deviations; ``_Space`` derives the optima and the
-stable optima from them, once for both, and the level engine in
-``analysis`` runs on either.
+strictly improving deviations; ``_Space`` derives the optima, the
+stable optima and the improvement graph's walk from them, once for both,
+and the level engine in ``analysis`` runs on either.
 """
 
 from __future__ import annotations
@@ -412,8 +412,9 @@ class _Space:
     A subclass sets ``welfare`` (one int per cell) and ``denominator`` and
     defines ``profile(cell)`` and ``deviations(cell)``: the strictly
     improving unilateral moves as (player, to_strategy, target cell,
-    integer gain) in (player, strategy) order.  The optima and the stable
-    optima are derived here, once, on first use.
+    integer gain) in (player, strategy) order.  The optima, the stable
+    optima and the improvement graph's walk are derived here, once, on
+    first use.
     """
 
     welfare: list[int]
@@ -434,6 +435,37 @@ class _Space:
         optimal = set(self.optima)
         return [c for c in self.optima
                 if not any(t in optimal for _, _, t, _ in self.deviations(c))]
+
+    @cached_property
+    def improvement(self) -> tuple[list[int] | None, bool]:
+        """(order, weakly acyclic) of the graph of edges from each cell to its
+        deviations' targets: Kahn's order (start queue ascending, successors
+        in deviation order), or None on a cycle, and whether every cell
+        reaches a sink.  The adjacency lists are not kept."""
+        successors = [[t for _, _, t, _ in self.deviations(c)] for c in range(len(self.welfare))]
+        indegree = [0] * len(successors)
+        for targets in successors:
+            for t in targets:
+                indegree[t] += 1
+        order = [c for c, degree in enumerate(indegree) if not degree]
+        for c in order:  # the list is its own queue
+            for t in successors[c]:
+                indegree[t] -= 1
+                if not indegree[t]:
+                    order.append(t)
+        if len(order) == len(successors):  # acyclic: every path ends at a sink
+            return order, True
+        predecessors: list[list[int]] = [[] for _ in successors]
+        for c, targets in enumerate(successors):
+            for t in targets:
+                predecessors[t].append(c)
+        reached = [c for c, targets in enumerate(successors) if not targets]
+        seen = set(reached)
+        for t in reached:  # backward from the sinks
+            fresh = [c for c in predecessors[t] if c not in seen]
+            seen.update(fresh)
+            reached += fresh
+        return None, len(reached) == len(successors)
 
 
 class _Kernel(_Space):

@@ -138,7 +138,8 @@ class WeaklyAcyclic3x3:
     """Weakly acyclic 3x3 game whose selfishness level is infinite."""
 
 
-def _normalize_subsets(strategies) -> tuple[tuple[tuple[str, ...], ...], ...]:
+def _normalize_subsets(strategies, known) -> tuple[tuple[tuple[str, ...], ...], ...]:
+    """The players' facility subsets as tuples, checked; names last, against ``known``."""
     per_player = []
     for options in strategies:
         normalized = tuple(tuple(subset) for subset in options)
@@ -151,11 +152,27 @@ def _normalize_subsets(strategies) -> tuple[tuple[tuple[str, ...], ...], ...]:
                  "duplicate strategy subsets for one player")
         per_player.append(normalized)
     _require(len(per_player) >= 2, "need at least two players")
+    for options in per_player:
+        for subset in options:
+            for name in subset:
+                _require(name in known, f"unknown facility {name!r}")
     return tuple(per_player)
 
 
+class _FacilitySubsets:
+    """The shape of a facility game's strategies: per player, facility subsets."""
+
+    @property
+    def is_singleton(self) -> bool:
+        return all(len(subset) == 1 for options in self.strategies for subset in options)
+
+    @property
+    def max_subset_size(self) -> int:
+        return max(len(subset) for options in self.strategies for subset in options)
+
+
 @dataclass(frozen=True)
-class CostSharing:
+class CostSharing(_FacilitySubsets):
     """Fair cost sharing: each facility's cost splits evenly among its users."""
 
     facility_costs: tuple[tuple[str, Fraction], ...]
@@ -171,28 +188,16 @@ class CostSharing:
         _require(len({name for name, _ in costs}) == len(costs),
                  "duplicate facility name")
         object.__setattr__(self, "facility_costs", costs)
-        object.__setattr__(self, "strategies", _normalize_subsets(self.strategies))
-        known = {name for name, _ in costs}
-        for options in self.strategies:
-            for subset in options:
-                for name in subset:
-                    _require(name in known, f"unknown facility {name!r}")
-
-    @property
-    def is_singleton(self) -> bool:
-        return all(len(subset) == 1 for options in self.strategies for subset in options)
+        object.__setattr__(self, "strategies", _normalize_subsets(
+            self.strategies, {name for name, _ in costs}))
 
     @property
     def has_integer_costs(self) -> bool:
         return all(c.denominator == 1 for _, c in self.facility_costs)
 
-    @property
-    def max_subset_size(self) -> int:
-        return max(len(subset) for options in self.strategies for subset in options)
-
 
 @dataclass(frozen=True)
-class Congestion:
+class Congestion(_FacilitySubsets):
     """Congestion game with affine per-facility delays d_e(x) = a_e*x + b_e."""
 
     facilities: tuple[tuple[str, Fraction, Fraction], ...]
@@ -208,16 +213,8 @@ class Congestion:
         _require(len({name for name, _, _ in facs}) == len(facs),
                  "duplicate facility name")
         object.__setattr__(self, "facilities", facs)
-        object.__setattr__(self, "strategies", _normalize_subsets(self.strategies))
-        known = {name for name, _, _ in facs}
-        for options in self.strategies:
-            for subset in options:
-                for name in subset:
-                    _require(name in known, f"unknown facility {name!r}")
-
-    @property
-    def is_singleton(self) -> bool:
-        return all(len(subset) == 1 for options in self.strategies for subset in options)
+        object.__setattr__(self, "strategies", _normalize_subsets(
+            self.strategies, {name for name, _, _ in facs}))
 
     @property
     def is_symmetric(self) -> bool:
@@ -227,10 +224,6 @@ class Congestion:
     def has_integer_coefficients(self) -> bool:
         return all(a.denominator == 1 and b.denominator == 1
                    for _, a, b in self.facilities)
-
-    @property
-    def max_subset_size(self) -> int:
-        return max(len(subset) for options in self.strategies for subset in options)
 
 
 # ---------------------------------------------------------------------------

@@ -320,14 +320,13 @@ def analyze_report(doc: GameDocument) -> dict:
 
 
 def dynamics_report(doc: GameDocument, cap: int) -> dict:
-    graph = dynamics.improvement_graph(doc.game, cap)
-    # A potential certificate exists exactly when a topological order does.
-    acyclic = dynamics._topological_order(graph) is not None
+    # A potential certificate exists exactly when the game has FIP.
+    fip = dynamics.has_fip(doc.game, cap)
     return {
         "game": document_to_obj(doc),
-        "finite_improvement_property": acyclic,
-        "weakly_acyclic": dynamics._reaches_sinks(graph),
-        "ordinal_potential_certificate": acyclic,
+        "finite_improvement_property": fip,
+        "weakly_acyclic": dynamics.is_weakly_acyclic(doc.game, cap),
+        "ordinal_potential_certificate": fip,
     }
 
 

@@ -270,6 +270,29 @@ class TestExitCodes:
         path, message = self._unreadable(case, tmp_path)
         assert cli(["level", str(path)]) == (2, "", f"error: {message}\n")
 
+    LATIN1 = ('{"orientation":"payoff","players":[{"name":"a\xe9","strategies":["x"]},'
+              '{"name":"b","strategies":["y"]}],"payoffs":[[[1,1]]]}')
+
+    @staticmethod
+    def _piped(monkeypatch, text: str, encoding: str) -> None:
+        """Standard input as Python decodes a pipe in UTF-8 mode."""
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(text.encode(encoding)), encoding="utf-8", errors="surrogateescape"))
+
+    @pytest.mark.parametrize("command", ["level", "analyze"])
+    def test_non_utf8_standard_input_is_two(self, capsys, monkeypatch, command):
+        self._piped(monkeypatch, self.LATIN1, "latin-1")
+        assert main([command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: standard input is not UTF-8 text: "
+                                "invalid continuation byte at byte 45\n")
+
+    def test_utf8_standard_input_is_read(self, capsys, monkeypatch):
+        self._piped(monkeypatch, self.LATIN1, "utf-8")
+        assert main(["level"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
     def test_closedform_public_goods_is_continuous(self, cli):
         # The continuous family takes no grid size and defaults b to 1.
         code, out, _ = cli(["closedform", "public_goods", "--param", "n=10", "c=2"])

@@ -21,6 +21,8 @@ from selfishlevel import (
     selfishness_level,
     tight_instance,
 )
+from selfishlevel import dynamics, families, gamedoc
+from selfishlevel.core import _Kernel
 from selfishlevel.errors import ExplosionGuard
 
 from oracles import naive_pure_nash, random_game_corpus
@@ -155,3 +157,160 @@ class TestPotentialGamesHaveFiniteLevel:
                 hits += 1
                 assert not selfishness_level(game).is_infinite
         assert hits >= 10
+
+
+# One instance of every registered family, all under the default cap.
+FAMILY_PARAMS = {
+    "pd_n": {"n": 3},
+    "generalized_pd": {"alpha": Fraction(1, 2), "beta": 2},
+    "public_goods": {"n": 4, "b": 1, "c": 2, "k": 2},
+    "travelers": {},
+    "matching_pennies": {},
+    "battle_of_sexes": {},
+    "bad_nash_3x3": {},
+    "no_nash_2x2": {},
+    "weakly_acyclic_3x3": {},
+    "f_level": {"n": 2, "f": 7},
+    "cost_sharing_singleton_tight": {"c_max": 10, "c_min": 1},
+    "cost_sharing_integer_tight": {"L": 3, "c_max": 2},
+    "congestion_singleton_tight": {"delta": Fraction(1, 2), "a": 1},
+    "congestion_integer_tight": {"L": 2, "d_max": 3, "d_min": 1},
+    "cost_sharing_gap": {"c_max": 10, "c_min": 1, "gap": 1},
+}
+
+
+def _family_game(name):
+    params = {key: Fraction(value) for key, value in FAMILY_PARAMS[name].items()}
+    return generate(families.FAMILIES[name].spec(params))
+
+
+def _reference_walk(graph):
+    """(acyclic, every node reaches a sink) of the profile-keyed graph, by a
+    depth-first cycle search and a forward search to a sink from each node."""
+    successors = graph.successors
+    state = dict.fromkeys(graph.nodes, "new")
+    acyclic = True
+    for root in graph.nodes:
+        if state[root] != "new":
+            continue
+        state[root] = "open"
+        stack = [(root, iter(successors[root]))]
+        while stack:
+            node, targets = stack[-1]
+            for target in targets:
+                if state[target] == "open":
+                    acyclic = False
+                elif state[target] == "new":
+                    state[target] = "open"
+                    stack.append((target, iter(successors[target])))
+                    break
+            else:
+                state[node] = "done"
+                stack.pop()
+    good = set(graph.sinks())  # nodes known to reach a sink
+
+    def reaches_sink(root):
+        seen, stack = {root}, [root]
+        while stack:
+            node = stack.pop()
+            if node in good:
+                return True
+            for target in successors[node]:
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+        return False
+
+    weakly = True
+    for root in graph.nodes:
+        if reaches_sink(root):
+            good.add(root)
+        else:
+            weakly = False
+    return acyclic, weakly
+
+
+class TestIntegerWalk:
+    def test_matches_reference_walk(self):
+        games = [Game(orientation, table.strategy_labels, table.payoffs)
+                 for table in CORPUS for orientation in Orientation]
+        games += [_family_game(name) for name in families.FAMILIES]
+        classes = set()
+        for game in games:
+            graph = improvement_graph(game)
+            acyclic, weakly = _reference_walk(graph)
+            assert has_fip(game) == acyclic
+            assert is_weakly_acyclic(game) == weakly
+            potential = ordinal_potential_certificate(game)
+            assert (potential is not None) == acyclic
+            if potential is not None:
+                assert set(potential) == set(graph.nodes)
+                for node, targets in graph.successors.items():
+                    for target in targets:
+                        assert potential[target] > potential[node]
+            classes.add((acyclic, weakly))
+        assert classes == {(True, True), (False, True), (False, False)}
+
+    def test_every_family_is_walked(self):
+        assert list(FAMILY_PARAMS) == list(families.FAMILIES)
+
+    def test_pinned_certificate_pd_n(self):
+        potential = ordinal_potential_certificate(_family_game("pd_n"))
+        assert list(potential.items()) == [
+            ((0, 0, 0), 0), ((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 3),
+            ((1, 1, 0), 4), ((1, 0, 1), 5), ((0, 1, 1), 6), ((1, 1, 1), 7),
+        ]
+
+    def test_pinned_certificate_cost_game(self):
+        game = _family_game("congestion_integer_tight")
+        assert game.orientation is Orientation.COST_MIN
+        potential = ordinal_potential_certificate(game)
+        assert list(potential.items()) == [((0, 0, 0, 0), 0), ((0, 0, 0, 1), 1)]
+
+    def test_answers_without_the_profile_view(self, monkeypatch, pd, weakly_acyclic_game):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the profile-keyed graph was built")
+
+        monkeypatch.setattr(dynamics, "improvement_graph", refuse)
+        assert has_fip(pd) and is_weakly_acyclic(pd)
+        assert ordinal_potential_certificate(pd) is not None
+        assert not has_fip(weakly_acyclic_game)
+        assert is_weakly_acyclic(weakly_acyclic_game)
+        assert ordinal_potential_certificate(weakly_acyclic_game) is None
+        report = gamedoc.dynamics_report(gamedoc.GameDocument.from_game(weakly_acyclic_game),
+                                         families.DEFAULT_CELL_CAP)
+        assert report["finite_improvement_property"] is False
+        assert report["weakly_acyclic"] is True
+        assert report["ordinal_potential_certificate"] is False
+
+    def test_one_walk_per_game(self, monkeypatch):
+        calls = []
+        deviations = _Kernel.deviations
+
+        def counting(self, cell):
+            calls.append(cell)
+            return deviations(self, cell)
+
+        monkeypatch.setattr(_Kernel, "deviations", counting)
+        game = _family_game("weakly_acyclic_3x3")
+        assert not has_fip(game)
+        walked = len(calls)
+        assert walked == game.cell_count
+        assert is_weakly_acyclic(game)
+        assert ordinal_potential_certificate(game) is None
+        gamedoc.dynamics_report(gamedoc.GameDocument.from_game(game), families.DEFAULT_CELL_CAP)
+        assert has_fip(game) is False
+        assert len(calls) == walked
+
+    @pytest.mark.parametrize("query", [
+        lambda game: improvement_graph(game, cap=100),
+        lambda game: has_fip(game, cap=100),
+        lambda game: is_weakly_acyclic(game, cap=100),
+        lambda game: ordinal_potential_certificate(game, cap=100),
+        lambda game: gamedoc.dynamics_report(gamedoc.GameDocument.from_game(game), 100),
+    ], ids=["improvement_graph", "has_fip", "is_weakly_acyclic",
+            "ordinal_potential_certificate", "dynamics_report"])
+    def test_cap(self, travelers, query):
+        with pytest.raises(ExplosionGuard) as raised:
+            query(travelers)
+        assert str(raised.value) == "joint strategy space has 9801 cells, exceeding the cap of 100"

@@ -257,6 +257,54 @@ class TestCongestion:
         assert game.payoff((0, 0), 0) == 2 * 2 + 1
 
 
+def _facility_spec(kind, names, strategies, bad=None):
+    """A CostSharing or Congestion spec on facilities ``names``; ``bad`` names
+    one facility given a negative cost or coefficient."""
+    values = [(name, -1 if name == bad else 1) for name in names]
+    if kind is CostSharing:
+        return CostSharing(facility_costs=values, strategies=strategies)
+    return Congestion(facilities=[(name, a, 0) for name, a in values], strategies=strategies)
+
+
+class TestFacilitySubsets:
+    ONE = (("e1",),)
+
+    @pytest.mark.parametrize("kind", [CostSharing, Congestion])
+    @pytest.mark.parametrize("names,strategies,message", [
+        (("e1",), ((), ONE), "each player needs at least one strategy"),
+        (("e1",), (((),), ONE), "facility subsets must be non-empty"),
+        (("e1",), ((("e1", "e1"),), ONE), "facility repeated within a strategy: ('e1', 'e1')"),
+        (("e1",), ((("e1",), ("e1",)), ONE), "duplicate strategy subsets for one player"),
+        (("e1",), (ONE,), "need at least two players"),
+        (("e1",), (ONE, (("e2",),)), "unknown facility 'e2'"),
+        (("e1", "e1"), (ONE, ONE), "duplicate facility name"),
+        # The first failing check wins: subsets before players before names.
+        (("e1",), ((("e2",),), ((),)), "facility subsets must be non-empty"),
+        (("e1",), ((("e2",),),), "need at least two players"),
+        (("e1", "e1"), ((),), "duplicate facility name"),
+    ])
+    def test_rejections(self, kind, names, strategies, message):
+        with pytest.raises(ParamOutOfRange) as raised:
+            _facility_spec(kind, names, strategies)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("kind,message", [
+        (CostSharing, "facility e2 needs a cost >= 0"),
+        (Congestion, "facility e2 needs coefficients >= 0"),
+    ])
+    def test_negative_facility_is_checked_first(self, kind, message):
+        with pytest.raises(ParamOutOfRange) as raised:
+            _facility_spec(kind, ("e1", "e2", "e1"), ((),), bad="e2")
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("kind", [CostSharing, Congestion])
+    def test_shape(self, kind):
+        singleton = _facility_spec(kind, ("e1", "e2"), (self.ONE, (("e1",), ("e2",))))
+        assert singleton.is_singleton and singleton.max_subset_size == 1
+        paths = _facility_spec(kind, ("e1", "e2"), (self.ONE, (("e1", "e2"),)))
+        assert not paths.is_singleton and paths.max_subset_size == 2
+
+
 class TestGuards:
     def test_explosion_guard(self):
         with pytest.raises(ExplosionGuard):
