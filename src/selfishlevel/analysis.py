@@ -35,12 +35,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .core import ZERO, Game, Orientation, Profile, _Orbits, parse_rational
+from .core import ZERO, Game, Orientation, Profile, _Orbits, parse_share
 from .errors import (
     EmptyStrategySet,
     GameError,
     IndexOutOfRange,
-    NegativeAlpha,
     NotImproving,
     NotStableOptimum,
     PlayerCountTooSmall,
@@ -299,13 +298,6 @@ def selfishness_level(game: Game) -> LevelResult:
     return _level(game._kernel)
 
 
-def _share(alpha) -> Fraction:
-    alpha = parse_rational(alpha)
-    if alpha < 0:
-        raise NegativeAlpha(f"altruism share must be >= 0, got {alpha}")
-    return alpha
-
-
 def is_alpha_selfish(game: Game, alpha) -> bool:
     """Whether the altruistic version at ``alpha`` has an equilibrium that
     is a social optimum of the original game (the two optimum sets agree).
@@ -313,7 +305,7 @@ def is_alpha_selfish(game: Game, alpha) -> bool:
     The altruistic game is never built: the kernel's optima are tested
     for equilibrium on ``q * v_i + p * W`` at alpha = p/q.
     """
-    alpha = _share(alpha)
+    alpha = parse_share(alpha)
     kernel = game._kernel
     return bool(kernel.equilibria(alpha.numerator, alpha.denominator, kernel.optima))
 
@@ -367,7 +359,7 @@ def selfishness_function(game: Game, alphas: Iterable) -> list[tuple[Fraction, F
     kernel = game._kernel
     out = []
     for raw in alphas:
-        alpha = _share(raw)
+        alpha = parse_share(raw)
         equilibria = kernel.equilibria(alpha.numerator, alpha.denominator) if alpha else None
         out.append((alpha, _price(game, max, equilibria)))
     return out

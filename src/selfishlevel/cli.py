@@ -90,8 +90,6 @@ def cmd_transform(args) -> int:
         if model is not transforms.AltruismModel.A:
             raise ParamOutOfRange("--inverse only applies to model A")
         game = transforms.inverse_altruistic(game, alpha)
-    elif model is transforms.AltruismModel.A:
-        game = transforms.altruistic(game, alpha)
     else:
         param = transforms.convert_param(alpha, model, game.player_count)
         game = transforms.altruistic_model(game, param)

@@ -11,13 +11,14 @@ any threshold M a deviation with appeal factor above M is produced.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from . import analysis, families
-from .core import HALF, ONE, ZERO, parse_rational
+from . import families
+from .core import HALF, ONE, ZERO, _Orbits, parse_rational
 from .errors import (
     MissingDiscrepancy,
     OutOfDeviationRange,
@@ -171,30 +172,24 @@ def discrepancy(a_e, b_e, a_e2, b_e2, x_e: int, x_e2: int) -> Fraction:
 def max_discrepancy(spec: Congestion, cap: int = families.DEFAULT_CELL_CAP) -> Fraction:
     """Largest discrepancy below 1 over the stable social optima.
 
-    Brute-forces the stable social optima of the expanded game; raises
-    MissingDiscrepancy when no facility pair qualifies (all discrepancies
-    are 1, or no pair has a positive linear coefficient).
+    Checks the cap, then reads the stable optima from the orbit space of
+    a symmetric spec (ParamOutOfRange if it is not): the discrepancy
+    depends only on usage, which is the same across an orbit.  Raises
+    MissingDiscrepancy when no facility pair qualifies (all
+    discrepancies are 1, or no pair has a positive linear coefficient).
     """
-    game = families.generate(spec, cap=cap)
-    stable = analysis.stable_social_optima(game)
-    names = [name for name, _, _ in spec.facilities]
-    coeffs = {name: (a, b) for name, a, b in spec.facilities}
+    families.check_cap(map(len, spec.strategies), cap)
+    form = families.symmetric_form(spec)
+    space = _Orbits(form.player_count, len(form.strategy_labels), form.payoff, form.orientation)
     best: Fraction | None = None
-    for profile in stable:
-        usage = families.facility_usage(
-            spec.strategies[i][position] for i, position in enumerate(profile))
-        for e in names:
-            for e2 in names:
-                if e == e2:
-                    continue
-                a_e, b_e = coeffs[e]
-                a_e2, b_e2 = coeffs[e2]
-                if a_e + a_e2 == 0:
-                    continue
-                value = discrepancy(a_e, b_e, a_e2, b_e2,
-                                    usage.get(e, 0), usage.get(e2, 0))
-                if value < 1 and (best is None or value > best):
-                    best = value
+    for cell in space.stable:
+        usage = families.facility_usage(spec.strategies[0], space.counts[cell])
+        for (e, a_e, b_e), (e2, a_e2, b_e2) in itertools.permutations(spec.facilities, 2):
+            if a_e + a_e2 == 0:
+                continue
+            value = discrepancy(a_e, b_e, a_e2, b_e2, usage.get(e, 0), usage.get(e2, 0))
+            if value < 1 and (best is None or value > best):
+                best = value
     if best is None:
         raise MissingDiscrepancy(
             "no facility pair with positive linear coefficient and "
@@ -221,8 +216,7 @@ def _cost_sharing_bound(spec: CostSharing, **_) -> ClosedFormResult:
     return ClosedFormResult(ClosedFormKind.UPPER_BOUND, bound, tight=True)
 
 
-def _congestion_bound(spec: Congestion, *, delta_max,
-                      cap: int) -> ClosedFormResult:
+def _congestion_bound(spec: Congestion, *, cap: int) -> ClosedFormResult:
     spans = [a + b for _, a, b in spec.facilities]
     if spec.is_symmetric and spec.is_singleton:
         linear = [a for _, a, _ in spec.facilities if a > 0]
@@ -230,12 +224,7 @@ def _congestion_bound(spec: Congestion, *, delta_max,
             # No improving deviation can raise the social cost when every
             # delay is constant, so stable optima are equilibria.
             return ClosedFormResult(ClosedFormKind.UPPER_BOUND, ZERO, tight=True)
-        if delta_max is None:
-            delta_max = max_discrepancy(spec, cap=cap)
-        else:
-            delta_max = parse_rational(delta_max)
-            if delta_max >= 1:
-                raise ParamOutOfRange("delta_max must be below 1")
+        delta_max = max_discrepancy(spec, cap=cap)
         span_gap = max(spans) - min(spans)
         bound = max(ZERO, HALF * span_gap / ((1 - delta_max) * min(linear)) - HALF)
         return ClosedFormResult(ClosedFormKind.UPPER_BOUND, bound, tight=True)
@@ -278,20 +267,19 @@ _CLOSED_FORMS = {
 }
 
 
-def closed_form_level(spec, *, delta_max=None,
-                      cap: int = families.DEFAULT_CELL_CAP) -> ClosedFormResult:
+def closed_form_level(spec, *, cap: int = families.DEFAULT_CELL_CAP) -> ClosedFormResult:
     """Analytic selfishness level (or proven upper bound) for a family.
 
     For rational-valued cost-sharing and congestion games the integer
     bounds are applied after scaling all values to integers, which
     leaves the level unchanged.  The symmetric singleton congestion
-    bound needs the maximum discrepancy ``delta_max``; when it is not
-    supplied it is brute-forced from the stable social optima.
+    bound needs the maximum discrepancy, which ``max_discrepancy`` reads
+    from the stable social optima on the orbit space.
     """
     solve = _CLOSED_FORMS.get(type(spec))
     if solve is None:
         raise UnknownFamily(f"no closed-form level for {spec!r}")
-    return solve(spec, delta_max=delta_max, cap=cap)
+    return solve(spec, cap=cap)
 
 
 # ---------------------------------------------------------------------------

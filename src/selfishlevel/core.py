@@ -43,6 +43,7 @@ from .errors import (
     EmptyStrategySet,
     GameError,
     IndexOutOfRange,
+    NegativeAlpha,
     PlayerCountTooSmall,
     ZeroDenominator,
 )
@@ -90,6 +91,14 @@ def parse_rational(value) -> Fraction:
         except ValueError:
             raise GameError(f"not a rational literal: {value!r}") from None
     raise GameError(f"not a rational value: {value!r}")
+
+
+def parse_share(alpha) -> Fraction:
+    """An altruism share, coerced by ``parse_rational``; NegativeAlpha if below 0."""
+    alpha = parse_rational(alpha)
+    if alpha < 0:
+        raise NegativeAlpha(f"altruism share must be >= 0, got {alpha}")
+    return alpha
 
 
 def format_rational(q: Fraction) -> str:

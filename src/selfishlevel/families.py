@@ -3,7 +3,9 @@
 Each family is a small frozen spec; ``generate`` expands it into a
 normal-form Game.  Cost-sharing and congestion games are specified
 compactly (facilities plus per-player facility subsets) and expanded to
-cost-minimizing normal form; everything else is payoff-maximizing.
+cost-minimizing normal form from one integer cost-at-load rule, which
+also gives symmetric ones their compact form; everything else is
+payoff-maximizing.
 
 Each decision about a family is made in one table: ``FAMILIES`` maps a
 CLI name to its spec constructor and typed ``--param`` schema, and
@@ -160,7 +162,15 @@ def _normalize_subsets(strategies, known) -> tuple[tuple[tuple[str, ...], ...], 
 
 
 class _FacilitySubsets:
-    """The shape of a facility game's strategies: per player, facility subsets."""
+    """The shape of a facility game's strategies: per player, facility subsets.
+
+    Each family's one integer rule, ``_cost_rule() -> (d, cost)``, gives
+    ``cost(facility, load) / d``, what each of ``load`` users pays there.
+    """
+
+    @property
+    def is_symmetric(self) -> bool:
+        return all(options == self.strategies[0] for options in self.strategies)
 
     @property
     def is_singleton(self) -> bool:
@@ -191,9 +201,12 @@ class CostSharing(_FacilitySubsets):
         object.__setattr__(self, "strategies", _normalize_subsets(
             self.strategies, {name for name, _ in costs}))
 
-    @property
-    def has_integer_costs(self) -> bool:
-        return all(c.denominator == 1 for _, c in self.facility_costs)
+    def _cost_rule(self) -> tuple[int, Callable[[str, int], int]]:
+        # Over d, a facility's cost is an integer divisible by any user count.
+        d = (math.lcm(*(c.denominator for _, c in self.facility_costs))
+             * math.lcm(*range(1, len(self.strategies) + 1)))
+        costs = {name: int(c * d) for name, c in self.facility_costs}
+        return d, lambda name, load: costs[name] // load
 
 
 @dataclass(frozen=True)
@@ -216,14 +229,10 @@ class Congestion(_FacilitySubsets):
         object.__setattr__(self, "strategies", _normalize_subsets(
             self.strategies, {name for name, _, _ in facs}))
 
-    @property
-    def is_symmetric(self) -> bool:
-        return all(options == self.strategies[0] for options in self.strategies)
-
-    @property
-    def has_integer_coefficients(self) -> bool:
-        return all(a.denominator == 1 and b.denominator == 1
-                   for _, a, b in self.facilities)
+    def _cost_rule(self) -> tuple[int, Callable[[str, int], int]]:
+        d = math.lcm(*(v.denominator for _, a, b in self.facilities for v in (a, b)))
+        delays = {name: (int(a * d), int(b * d)) for name, a, b in self.facilities}
+        return d, lambda name, load: delays[name][0] * load + delays[name][1]
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +267,19 @@ def _fixed(labels, *cells, denominator: int = 1):
     return lambda spec: (Orientation.PAYOFF_MAX, (labels, labels), denominator, cells)
 
 
+def _pd_n_pay(j: int, cooperators: int) -> int:
+    """1 - v + 2 * (the others' v), with v = 1 for C (j = 0) and 0 for D (j = 1),
+    when ``cooperators`` players, this one included, play C."""
+    return 2 * cooperators - 2 + 3 * j
+
+
 def _expand_pd_n(spec: PrisonersDilemmaN):
     def cell(profile):
-        total = sum(profile)
-        return tuple(1 - 3 * v + 2 * total for v in profile)
+        cooperators = profile.count(0)
+        return tuple(_pd_n_pay(j, cooperators) for j in profile)
 
     return (Orientation.PAYOFF_MAX, (("C", "D"),) * spec.n, 1,
-            map(cell, itertools.product((1, 0), repeat=spec.n)))
+            map(cell, itertools.product(range(2), repeat=spec.n)))
 
 
 def _expand_generalized_pd(spec: GeneralizedPD):
@@ -310,19 +325,26 @@ def _expand_public_goods(spec: PublicGoodsGrid):
             map(cell, itertools.product(range(m), repeat=spec.n)))
 
 
-def _expand_travelers(_: TravelersDilemma):
-    claims = range(2, 101)
+_CLAIMS = range(2, 101)  # the traveler's dilemma's strategies
 
+
+def _travelers_pay(own: int, other: int) -> int:
+    """Claiming ``own`` against ``other`` pays the lower claim, +2 to its
+    maker and -2 to the other traveler."""
+    if own == other:
+        return own
+    if own < other:
+        return own + 2
+    return other - 2
+
+
+def _expand_travelers(_: TravelersDilemma):
     def cell(pair):
         a, b = pair
-        if a == b:
-            return pair
-        if a < b:
-            return (a + 2, a - 2)
-        return (b - 2, b + 2)
+        return _travelers_pay(a, b), _travelers_pay(b, a)
 
-    return (Orientation.PAYOFF_MAX, (tuple(str(v) for v in claims),) * 2, 1,
-            map(cell, itertools.product(claims, repeat=2)))
+    return (Orientation.PAYOFF_MAX, (tuple(map(str, _CLAIMS)),) * 2, 1,
+            map(cell, itertools.product(_CLAIMS, repeat=2)))
 
 
 def _expand_f_level(spec: FLevelGame):
@@ -343,39 +365,22 @@ def _subset_labels(spec) -> tuple[tuple[str, ...], ...]:
                  for options in spec.strategies)
 
 
-def facility_usage(choice) -> dict[str, int]:
-    """The number of players on each facility when player i takes the
-    facility subset ``choice[i]``."""
+def facility_usage(choice, counts=itertools.repeat(1)) -> dict[str, int]:
+    """The number of players on each facility when ``counts[k]`` players
+    (default: one each) take the facility subset ``choice[k]``."""
     usage: dict[str, int] = {}
-    for subset in choice:
+    for subset, count in zip(choice, counts):
         for name in subset:
-            usage[name] = usage.get(name, 0) + 1
+            usage[name] = usage.get(name, 0) + count
     return usage
 
 
-def _expand_cost_sharing(spec: CostSharing):
-    # Over d, a facility's cost is an integer divisible by any user count.
-    d = (math.lcm(*(c.denominator for _, c in spec.facility_costs))
-         * math.lcm(*range(1, len(spec.strategies) + 1)))
-    costs = {name: int(c * d) for name, c in spec.facility_costs}
+def _expand_facilities(spec: _FacilitySubsets):
+    d, cost = spec._cost_rule()
 
     def cell(choice):
         usage = facility_usage(choice)
-        return tuple(sum(costs[name] // usage[name] for name in subset) for subset in choice)
-
-    return (Orientation.COST_MIN, _subset_labels(spec), d,
-            map(cell, itertools.product(*spec.strategies)))
-
-
-def _expand_congestion(spec: Congestion):
-    d = math.lcm(*(v.denominator for _, a, b in spec.facilities for v in (a, b)))
-    delays = {name: (int(a * d), int(b * d)) for name, a, b in spec.facilities}
-
-    def cell(choice):
-        usage = facility_usage(choice)
-        delay_of = {name: delays[name][0] * count + delays[name][1]
-                    for name, count in usage.items()}
-        return tuple(sum(delay_of[name] for name in subset) for subset in choice)
+        return tuple(sum(cost(name, usage[name]) for name in subset) for subset in choice)
 
     return (Orientation.COST_MIN, _subset_labels(spec), d,
             map(cell, itertools.product(*spec.strategies)))
@@ -404,8 +409,7 @@ _EXPANSIONS: dict[type, Callable] = {
         (-1, -2), (-1, -2), (-1, -1),
         denominator=2,
     ),
-    CostSharing: _expand_cost_sharing,
-    Congestion: _expand_congestion,
+    **dict.fromkeys((CostSharing, Congestion), _expand_facilities),
 }
 
 #: Any spec ``generate`` expands.
@@ -434,23 +438,21 @@ def generate(spec: FamilySpec, cap: int = DEFAULT_CELL_CAP) -> Game:
 class SymmetricForm:
     """Per-position payoff view of a symmetric family.
 
-    ``payoff(j, rest)`` is the payoff of any player choosing strategy
-    ``j`` while the remaining players' choices have per-strategy counts
-    ``rest``.  Suitable for orbit-reduced analysis of games whose full
-    tensor would be too large to expand.
+    ``payoff(j, rest)`` is the payoff (in a cost game, the cost) of any
+    player choosing strategy ``j`` while the remaining players' choices
+    have per-strategy counts ``rest``.  Suitable for orbit-reduced
+    analysis of games whose full tensor would be too large to expand.
     """
 
     player_count: int
     strategy_labels: tuple[str, ...]
     payoff: Callable[[int, tuple[int, ...]], Fraction] = field(compare=False)
+    orientation: Orientation = Orientation.PAYOFF_MAX
 
 
 def _pd_n_form(spec: PrisonersDilemmaN) -> SymmetricForm:
-    values = (1, 0)
-
     def pd_pay(j: int, rest: tuple[int, ...]) -> Fraction:
-        others = sum(count * values[j2] for j2, count in enumerate(rest))
-        return Fraction(1 - values[j] + 2 * others)
+        return Fraction(_pd_n_pay(j, rest[0] + (j == 0)))
 
     return SymmetricForm(spec.n, ("C", "D"), pd_pay)
 
@@ -470,21 +472,31 @@ def _public_goods_form(spec: PublicGoodsGrid) -> SymmetricForm:
 
 def _travelers_form(_: TravelersDilemma) -> SymmetricForm:
     def td_pay(j: int, rest: tuple[int, ...]) -> Fraction:
-        own = j + 2
-        other = rest.index(1) + 2
-        if own == other:
-            return Fraction(own)
-        if own < other:
-            return Fraction(own + 2)
-        return Fraction(other - 2)
+        return Fraction(_travelers_pay(_CLAIMS[j], _CLAIMS[rest.index(1)]))
 
-    return SymmetricForm(2, tuple(str(v) for v in range(2, 101)), td_pay)
+    return SymmetricForm(2, tuple(map(str, _CLAIMS)), td_pay)
+
+
+def _facility_form(spec: _FacilitySubsets) -> SymmetricForm:
+    """A facility's load is the number of players on options that contain it."""
+    if not spec.is_symmetric:
+        raise ParamOutOfRange(f"no symmetric form for {spec!r}: the players' options differ")
+    options = spec.strategies[0]
+    d, cost = spec._cost_rule()
+
+    def facility_cost(j: int, rest: tuple[int, ...]) -> Fraction:
+        usage = facility_usage(options, rest)
+        return Fraction(sum(cost(name, usage[name] + 1) for name in options[j]), d)
+
+    return SymmetricForm(len(spec.strategies), _subset_labels(spec)[0], facility_cost,
+                         Orientation.COST_MIN)
 
 
 _SYMMETRIC_FORMS: dict[type, Callable[..., SymmetricForm]] = {
     PrisonersDilemmaN: _pd_n_form,
     PublicGoodsGrid: _public_goods_form,
     TravelersDilemma: _travelers_form,
+    **dict.fromkeys((CostSharing, Congestion), _facility_form),
 }
 
 

@@ -174,49 +174,52 @@ def parse_game(text: str) -> Game:
     return parse_game_document(text).game
 
 
-def _dense_payoffs(game: Game) -> list:
-    """The payoff tensor as nested lists of ints and "p/q" strings.
-
-    Each distinct stored integer is formatted once; the flat cells are
-    then grouped by list slicing, innermost player first.
-    """
+def _payoff_values(game: Game, encode=None) -> list:
+    """The payoff values, cell by cell, as ints and "p/q" strings passed
+    through ``encode`` if given; each distinct stored int is done once."""
     d = game.denominator
-    text = {}
+    value = {}
     for v in set(itertools.chain.from_iterable(game.columns)):
         g = math.gcd(v, d)
-        text[v] = v // g if g == d else f"{v // g}/{d // g}"
-    nodes = [list(cell) for cell in zip(*(map(text.__getitem__, column)
-                                          for column in game.columns))]
-    for m in reversed(game.strategy_counts[1:]):
+        x = v // g if g == d else f"{v // g}/{d // g}"
+        value[v] = x if encode is None else encode(x)
+    return list(itertools.chain.from_iterable(
+        zip(*(map(value.__getitem__, column) for column in game.columns))))
+
+
+def _dense_payoffs(game: Game) -> list:
+    """The payoff tensor as nested lists of ints and "p/q" strings: the
+    flat values grouped by list slicing, innermost first."""
+    nodes = _payoff_values(game)
+    for m in (game.player_count, *reversed(game.strategy_counts[1:])):
         nodes = [nodes[k:k + m] for k in range(0, len(nodes), m)]
     return nodes
 
 
-def document_to_obj(doc: GameDocument) -> dict:
+def _document_head(doc: GameDocument) -> dict:
     return {
         "orientation": doc.game.orientation.value,
         "players": [
             {"name": name, "strategies": list(per_player)}
             for name, per_player in zip(doc.player_names, doc.game.strategy_labels)
         ],
-        "payoffs": _dense_payoffs(doc.game),
     }
 
 
-def _tensor_parts(payoffs: list, counts: list[int], level: int) -> list[str]:
+def document_to_obj(doc: GameDocument) -> dict:
+    return {**_document_head(doc), "payoffs": _dense_payoffs(doc.game)}
+
+
+def _tensor_parts(texts: list[str], counts: list[int], level: int) -> list[str]:
     """The indented JSON text of a payoff tensor with ``counts`` strategies
     per player, whose key sits at nesting ``level``, as parts to join.
 
-    Each distinct value is encoded once.  The parts alternate value texts
-    and separators: within a cell, a comma and the innermost indent;
-    between two cells, the one text that closes the lists below the
-    outermost axis that changes, writes the comma and opens them again.
+    The parts alternate the values' JSON ``texts``, cell by cell, and
+    separators: within a cell, a comma and the innermost indent; between
+    two cells, the one text that closes the lists below the outermost
+    axis that changes, writes the comma and opens them again.
     """
     n = len(counts)
-    values = payoffs
-    for _ in range(n):
-        values = list(itertools.chain.from_iterable(values))
-    text = {v: json.dumps(v) for v in set(values)}
 
     def opening(depth):  # a list at ``depth`` (the leaf vector is depth n)
         return "[\n" + "  " * (level + depth + 1)
@@ -230,17 +233,17 @@ def _tensor_parts(payoffs: list, counts: list[int], level: int) -> list[str]:
     seps: list[str] = []
     for k in reversed(range(n)):  # the separators inside one block of axes k..n-1
         seps = (seps + [between[k]]) * (counts[k] - 1) + seps
-    parts = [",\n" + "  " * (level + n + 1)] * (2 * len(values) - 1)
-    parts[::2] = map(text.__getitem__, values)
+    parts = [",\n" + "  " * (level + n + 1)] * (2 * len(texts) - 1)
+    parts[::2] = texts
     parts[2 * n - 1::2 * n] = seps
     parts.insert(0, "".join(map(opening, range(n + 1))))
     parts.append("".join(map(closing, range(n, -1, -1))))
     return parts
 
 
-def _document_parts(obj: dict, level: int) -> list[str]:
-    """The indented JSON text of a document object at nesting ``level``,
-    as parts to join.
+def _document_parts(obj: dict, texts: list[str], level: int) -> list[str]:
+    """The indented JSON text of a document object at nesting ``level``
+    whose payoff values have the JSON ``texts``, as parts to join.
 
     All but the payoff tensor goes through ``json.dumps``; ``payoffs``
     is the object's last key, so the tensor's text takes the place of a
@@ -249,7 +252,7 @@ def _document_parts(obj: dict, level: int) -> list[str]:
     pad = "\n" + "  " * level
     head = json.dumps({**obj, "payoffs": 0}, indent=2).replace("\n", pad)
     counts = [len(player["strategies"]) for player in obj["players"]]
-    parts = _tensor_parts(obj["payoffs"], counts, level + 1)
+    parts = _tensor_parts(texts, counts, level + 1)
     parts.insert(0, head[:-len(pad) - 2])
     parts.append(pad + "}")
     return parts
@@ -259,9 +262,9 @@ def render_game_document(doc: GameDocument) -> str:
     """Canonical dense JSON text; parsing it back reproduces the game.
 
     The text is ``json.dumps(document_to_obj(doc), indent=2)`` plus a
-    newline, written in one join.
+    newline, written in one join from the game's flat store.
     """
-    parts = _document_parts(document_to_obj(doc), 0)
+    parts = _document_parts(_document_head(doc), _payoff_values(doc.game, json.dumps), 0)
     parts.append("\n")
     return "".join(parts)
 
@@ -355,7 +358,11 @@ def render_report(body: dict, timings: dict | None = None) -> str:
     wrapper["report"] = {**body, "game": 0}
     rest = json.dumps(wrapper, indent=2)
     prefix = '{\n  "report": {\n    "game": '
-    parts = _document_parts(body["game"], 2)
+    values = body["game"]["payoffs"]
+    for _ in body["game"]["players"]:  # flatten the nested tensor
+        values = list(itertools.chain.from_iterable(values))
+    text = {v: json.dumps(v) for v in set(values)}
+    parts = _document_parts(body["game"], list(map(text.__getitem__, values)), 2)
     parts.insert(0, prefix)
     parts += (rest[len(prefix) + 1:], "\n")
     return "".join(parts)

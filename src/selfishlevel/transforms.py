@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import ONE, ZERO, Game, parse_rational
-from .errors import NegativeAlpha, NonPositiveScale, ParamOutOfRange
+from .core import ONE, ZERO, Game, parse_rational, parse_share
+from .errors import NonPositiveScale, ParamOutOfRange
 
 
 def _linear(game: Game, own: Fraction, social: Fraction = ZERO,
@@ -53,9 +53,7 @@ def _linear(game: Game, own: Fraction, social: Fraction = ZERO,
 
 def altruistic(game: Game, alpha) -> Game:
     """The altruistic version: every value becomes p_i(s) + alpha * SW(s)."""
-    alpha = parse_rational(alpha)
-    if alpha < 0:
-        raise NegativeAlpha(f"altruism share must be >= 0, got {alpha}")
+    alpha = parse_share(alpha)
     if alpha == 0:
         return game
     return _linear(game, ONE, alpha)
@@ -81,9 +79,7 @@ def inverse_altruistic(game: Game, alpha) -> Game:
     Subtracting alpha/(1 + n*alpha) times the social value from every
     payoff inverts the transform exactly, cell for cell.
     """
-    alpha = parse_rational(alpha)
-    if alpha < 0:
-        raise NegativeAlpha(f"altruism share must be >= 0, got {alpha}")
+    alpha = parse_share(alpha)
     factor = alpha / (1 + game.player_count * alpha)
     return _linear(game, ONE, -factor)
 
@@ -91,10 +87,8 @@ def inverse_altruistic(game: Game, alpha) -> Game:
 def compose_check(game: Game, alpha, beta) -> bool:
     """Whether transforming by alpha+beta equals transforming by alpha and
     then by beta/(1 + n*alpha).  Holds identically; exposed as an oracle."""
-    alpha = parse_rational(alpha)
-    beta = parse_rational(beta)
-    if alpha < 0 or beta < 0:
-        raise NegativeAlpha("altruism shares must be >= 0")
+    alpha = parse_share(alpha)
+    beta = parse_share(beta)
     combined = altruistic(game, alpha + beta)
     staged = altruistic(altruistic(game, alpha), beta / (1 + game.player_count * alpha))
     return combined == staged
@@ -132,9 +126,7 @@ def convert_param(alpha, target: AltruismModel, n: int | None = None) -> Altruis
     always lies in the range on which the equivalence holds (for model D
     that is [0, 1/2]).
     """
-    alpha = parse_rational(alpha)
-    if alpha < 0:
-        raise NegativeAlpha(f"altruism share must be >= 0, got {alpha}")
+    alpha = parse_share(alpha)
     if target is AltruismModel.A:
         return AltruismParam(target, alpha)
     if target is AltruismModel.B:

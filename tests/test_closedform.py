@@ -33,12 +33,14 @@ from selfishlevel import (
     max_discrepancy,
     selfishness_level,
     social_optima,
+    stable_social_optima,
     tight_instance,
     tragedy_af,
     tragedy_witness,
     unbounded_witness,
 )
 from selfishlevel.errors import (
+    ExplosionGuard,
     MissingDiscrepancy,
     OutOfDeviationRange,
     ParamOutOfRange,
@@ -169,6 +171,43 @@ def _random_symmetric_singleton_congestion(rng):
     return Congestion(facilities=facilities, strategies=(options,) * players)
 
 
+def _random_symmetric_congestion(rng, singleton):
+    facilities = {f"e{i}": (Fraction(rng.randint(0, 3), rng.choice((1, 2))),
+                            Fraction(rng.randint(0, 4), rng.choice((1, 3))))
+                  for i in range(rng.randint(1, 4))}
+    names = list(facilities)
+    options = []
+    for _ in range(rng.randint(1, 3)):
+        size = 1 if singleton else rng.randint(1, min(2, len(names)))
+        subset = tuple(rng.sample(names, size))
+        if subset not in options:
+            options.append(subset)
+    return Congestion(facilities=facilities,
+                      strategies=(tuple(options),) * rng.randint(2, 4))
+
+
+def _dense_max_discrepancy(spec, optima=stable_social_optima):
+    """The discrepancy on the expanded game: the largest below 1 over the
+    facility pairs with a positive linear coefficient at every profile of
+    ``optima(game)``, or None."""
+    game = generate(spec)
+    coeffs = {name: (a, b) for name, a, b in spec.facilities}
+    best = None
+    for profile in optima(game):
+        usage = dict.fromkeys(coeffs, 0)
+        for player, position in enumerate(profile):
+            for name in spec.strategies[player][position]:
+                usage[name] += 1
+        for e in coeffs:
+            for e2 in coeffs:
+                if e == e2 or coeffs[e][0] + coeffs[e2][0] == 0:
+                    continue
+                value = discrepancy(*coeffs[e], *coeffs[e2], usage[e], usage[e2])
+                if value < 1 and (best is None or value > best):
+                    best = value
+    return best
+
+
 class TestUpperBoundSoundness:
     def test_random_singleton_cost_sharing_within_bound(self):
         rng = random.Random(1)
@@ -278,6 +317,40 @@ class TestDiscrepancy:
         spec = Congestion(facilities={"e": (Fraction(1), Fraction(0))},
                           strategies=((("e",),), (("e",),)))
         with pytest.raises(MissingDiscrepancy):
+            max_discrepancy(spec)
+
+    def test_max_discrepancy_equals_dense_reference(self):
+        rng = random.Random(4248)
+        outcomes = {"singleton": set(), "subsets": set()}
+        unstable = 0  # specs whose answer over all optima would differ
+        for k in range(240):
+            spec = _random_symmetric_congestion(rng, singleton=k % 2 == 0)
+            expected = _dense_max_discrepancy(spec)
+            unstable += expected != _dense_max_discrepancy(spec, social_optima)
+            shape = "singleton" if spec.is_singleton else "subsets"
+            if expected is None:
+                with pytest.raises(MissingDiscrepancy):
+                    max_discrepancy(spec)
+                outcomes[shape].add("missing")
+            else:
+                assert max_discrepancy(spec) == expected, spec
+                outcomes[shape].add("value")
+        assert outcomes == {"singleton": {"missing", "value"}, "subsets": {"missing", "value"}}
+        assert unstable >= 1
+
+    def test_max_discrepancy_checks_the_cap_first(self):
+        spec = tight_instance(TightFamily.CONGESTION_SINGLETON, delta=Fraction(1, 4), a=2)
+        assert max_discrepancy(spec, cap=4) == Fraction(1, 4)
+        with pytest.raises(ExplosionGuard, match="has 4 cells, exceeding the cap of 3"):
+            max_discrepancy(spec, cap=3)
+        asymmetric = tight_instance(TightFamily.CONGESTION_INTEGER, L=2, d_max=3, d_min=1)
+        with pytest.raises(ExplosionGuard):
+            max_discrepancy(asymmetric, cap=1)
+
+    def test_max_discrepancy_rejects_an_asymmetric_spec(self):
+        spec = Congestion(facilities={"e1": (1, 0), "e2": (1, 1)},
+                          strategies=((("e1",), ("e2",)), (("e2",), ("e1",))))
+        with pytest.raises(ParamOutOfRange):
             max_discrepancy(spec)
 
 

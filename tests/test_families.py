@@ -12,6 +12,7 @@ from selfishlevel import (
     CostSharing,
     FLevelGame,
     GeneralizedPD,
+    LevelKind,
     MatchingPennies,
     Orientation,
     PrisonersDilemmaN,
@@ -25,6 +26,7 @@ from selfishlevel import (
     selfishness_level,
     social_optima,
     symmetric_form,
+    symmetric_selfishness_level,
     tight_instance,
 )
 from selfishlevel.errors import ExplosionGuard, InfeasibleParams, ParamOutOfRange
@@ -177,10 +179,19 @@ class TestSymmetry:
             assert game.payoff((a, b), 0) == game.payoff((b, a), 1)
 
     def test_symmetric_form_agrees_with_tensor(self):
+        options = (("e1",), ("e1", "e2"), ("e3",))
         for spec in (PrisonersDilemmaN(3),
-                     PublicGoodsGrid(n=3, b=1, c=2, grid_steps=2)):
+                     PublicGoodsGrid(n=3, b=1, c=2, grid_steps=2),
+                     TravelersDilemma(),
+                     CostSharing(facility_costs={"e1": Fraction(5, 2), "e2": 3, "e3": 7},
+                                 strategies=(options,) * 3),
+                     Congestion(facilities={"e1": (Fraction(1, 3), 2), "e2": (2, 0),
+                                            "e3": (Fraction(3, 2), Fraction(1, 4))},
+                                strategies=(options,) * 3)):
             game = generate(spec)
             form = symmetric_form(spec)
+            assert form.orientation is game.orientation
+            assert (form.strategy_labels,) * form.player_count == game.strategy_labels
             m = len(form.strategy_labels)
             for s in game.joint_strategies():
                 for i in range(game.player_count):
@@ -303,6 +314,80 @@ class TestFacilitySubsets:
         assert singleton.is_singleton and singleton.max_subset_size == 1
         paths = _facility_spec(kind, ("e1", "e2"), (self.ONE, (("e1", "e2"),)))
         assert not paths.is_singleton and paths.max_subset_size == 2
+
+
+def _random_symmetric_facility_spec(rng, kind, max_cells=4096):
+    """A random symmetric CostSharing or Congestion spec of at most
+    ``max_cells`` joint strategies; options are subsets of 1-2 facilities."""
+    names = [f"e{i}" for i in range(rng.randint(1, 4))]
+    options = []
+    for _ in range(rng.randint(1, 4)):
+        subset = tuple(rng.sample(names, rng.randint(1, min(2, len(names)))))
+        if subset not in options:
+            options.append(subset)
+    players = rng.randint(2, 6)
+    while len(options) ** players > max_cells:
+        players -= 1
+
+    def value():
+        return Fraction(rng.randint(0, 6), rng.choice((1, 2, 3)))
+
+    strategies = (tuple(options),) * players
+    if kind is CostSharing:
+        return CostSharing(facility_costs={name: value() for name in names},
+                           strategies=strategies)
+    return Congestion(facilities={name: (value(), value()) for name in names},
+                      strategies=strategies)
+
+
+class TestFacilitySymmetricForm:
+    # All players on a cheapest option is an optimal equilibrium of a
+    # symmetric fair cost-sharing game, so its level is 0 and only the
+    # witness optimum can differ; congestion games reach finite levels.
+    @pytest.mark.parametrize("kind,expected", [
+        (CostSharing, {LevelKind.ZERO}),
+        (Congestion, {LevelKind.ZERO, LevelKind.FINITE}),
+    ])
+    def test_compact_level_equals_dense(self, kind, expected):
+        rng = random.Random(1010 if kind is CostSharing else 2020)
+        kinds = set()
+        for _ in range(80):
+            spec = _random_symmetric_facility_spec(rng, kind)
+            form = symmetric_form(spec)
+            compact = symmetric_selfishness_level(
+                form.player_count, len(form.strategy_labels), form.payoff,
+                orientation=form.orientation)
+            dense = selfishness_level(generate(spec))
+            assert compact == dense, spec
+            kinds.add(dense.kind)
+        assert kinds == expected
+
+    @pytest.mark.parametrize("spec", [
+        tight_instance(TightFamily.CONGESTION_SINGLETON, delta=Fraction(1, 4), a=2),
+        tight_instance(TightFamily.CONGESTION_SINGLETON, delta=0, a=Fraction(5, 3)),
+    ])
+    def test_tight_singleton_congestion_compact_equals_dense(self, spec):
+        form = symmetric_form(spec)
+        assert form.orientation is Orientation.COST_MIN
+        compact = symmetric_selfishness_level(
+            form.player_count, len(form.strategy_labels), form.payoff,
+            orientation=form.orientation)
+        assert compact == selfishness_level(generate(spec))
+
+    @pytest.mark.parametrize("spec", [
+        tight_instance(TightFamily.COST_SHARING_SINGLETON, c_max=10, c_min=1),
+        tight_instance(TightFamily.CONGESTION_INTEGER, L=2, d_max=3, d_min=1),
+        cost_sharing_gap_instance(c_max=10, c_min=1, gap=2),
+    ])
+    def test_asymmetric_spec_has_no_form(self, spec):
+        assert not spec.is_symmetric
+        with pytest.raises(ParamOutOfRange):
+            symmetric_form(spec)
+
+    def test_payoff_families_default_to_payoff_orientation(self):
+        for spec in (PrisonersDilemmaN(3), TravelersDilemma(),
+                     PublicGoodsGrid(n=3, b=1, c=2, grid_steps=2)):
+            assert symmetric_form(spec).orientation is Orientation.PAYOFF_MAX
 
 
 class TestGuards:

@@ -13,6 +13,7 @@ from selfishlevel import (
     Orientation,
     PublicGoodsGrid,
     core,
+    gamedoc,
     generate,
     parse_game,
     parse_game_document,
@@ -243,6 +244,18 @@ def _hostile_document(rng: random.Random) -> GameDocument:
     cells = [tuple(rng.choice(pool) for _ in counts) for _ in range(math.prod(counts))]
     orientation = rng.choice(list(Orientation))
     return GameDocument(Game(orientation, labels, cells), names)
+
+
+def test_document_rendering_builds_no_nested_tensor(monkeypatch):
+    doc = GameDocument.from_game(generate(PublicGoodsGrid(n=3, b=1, c=Fraction(3, 2),
+                                                           grid_steps=3)))
+    expected = _reference(document_to_obj(doc))
+
+    def nested(game):
+        raise AssertionError("render_game_document nested the payoff tensor")
+
+    monkeypatch.setattr(gamedoc, "_dense_payoffs", nested)
+    assert render_game_document(doc) == expected
 
 
 def test_rendering_equals_the_reference_encoder(matching_pennies):

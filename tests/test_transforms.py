@@ -18,14 +18,16 @@ from selfishlevel import (
     convert_param,
     generate,
     inverse_altruistic,
+    is_alpha_selfish,
     NoNash2x2,
     pure_nash,
     scale,
+    selfishness_function,
     selfishness_level,
     shift,
     social_optima,
 )
-from selfishlevel.errors import NegativeAlpha, NonPositiveScale, ParamOutOfRange
+from selfishlevel.errors import GameError, NegativeAlpha, NonPositiveScale, ParamOutOfRange
 
 from oracles import random_game, random_game_corpus
 
@@ -61,6 +63,21 @@ class TestAltruistic:
     def test_negative_alpha_rejected(self, pd):
         with pytest.raises(NegativeAlpha):
             altruistic(pd, -1)
+
+    @pytest.mark.parametrize("check", [
+        lambda g, a: altruistic(g, a),
+        lambda g, a: inverse_altruistic(g, a),
+        lambda g, a: convert_param(a, AltruismModel.B, g.player_count),
+        lambda g, a: compose_check(g, a, 1),
+        lambda g, a: compose_check(g, 1, a),
+        lambda g, a: is_alpha_selfish(g, a),
+        lambda g, a: selfishness_function(g, [0, a]),
+    ])
+    def test_every_share_is_checked_alike(self, pd, check):
+        with pytest.raises(NegativeAlpha, match=r"^altruism share must be >= 0, got -3/2$"):
+            check(pd, "-3/2")
+        with pytest.raises(GameError, match="exact rational"):
+            check(pd, "0.5")
 
     def test_cost_orientation_adds_social_cost(self):
         game = Game(Orientation.COST_MIN, (("a", "b"), ("a", "b")),
