@@ -35,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .core import ZERO, Game, Orientation, Profile, _Orbits, parse_share
+from .core import DEFAULT_CELL_CAP, ZERO, Game, Orientation, Profile, _Orbits, parse_share
 from .errors import (
     EmptyStrategySet,
     GameError,
@@ -375,6 +375,7 @@ def symmetric_selfishness_level(
     payoff: Callable[[int, Sequence[int]], Fraction],
     *,
     orientation: Orientation = Orientation.PAYOFF_MAX,
+    cap: int = DEFAULT_CELL_CAP,
 ) -> LevelResult:
     """Selfishness level of a symmetric game given in compact form.
 
@@ -387,10 +388,14 @@ def symmetric_selfishness_level(
     ``selfishness_level`` runs on one sorted representative per orbit
     (``core._Orbits``), so the result, witnesses included, equals the
     dense engine's on the expanded game at a fraction of the cost.
+
+    The orbit space has C(player_count + strategy_count - 1,
+    player_count) cells; when that is more than ``cap``, ExplosionGuard
+    is raised before any orbit is built or ``payoff`` is called.
     """
     n, m = player_count, strategy_count
     if n < 2:
         raise PlayerCountTooSmall(f"a strategic game needs more than one player, got {n}")
     if m < 1:
         raise EmptyStrategySet("the players have no strategies")
-    return _level(_Orbits(n, m, payoff, orientation))
+    return _level(_Orbits(n, m, payoff, orientation, cap))

@@ -180,10 +180,11 @@ def max_discrepancy(spec: Congestion, cap: int = families.DEFAULT_CELL_CAP) -> F
     """
     families.check_cap(map(len, spec.strategies), cap)
     form = families.symmetric_form(spec)
-    space = _Orbits(form.player_count, len(form.strategy_labels), form.payoff, form.orientation)
+    space = _Orbits(form.player_count, len(form.strategy_labels), form.payoff, form.orientation,
+                    cap)
     best: Fraction | None = None
     for cell in space.stable:
-        usage = families.facility_usage(spec.strategies[0], space.counts[cell])
+        usage = families.facility_usage(spec.strategies[0], space.counts(cell))
         for (e, a_e, b_e), (e2, a_e2, b_e2) in itertools.permutations(spec.facilities, 2):
             if a_e + a_e2 == 0:
                 continue

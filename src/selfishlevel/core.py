@@ -19,18 +19,25 @@ flip change no equilibrium, optimum or stable optimum, and an appeal
 factor is a ratio in which the common denominator cancels, so results
 stay exact; Fractions reappear only in the values a caller gets back.
 
-Two profile spaces share that integer form: ``_Kernel``, a game's dense
-table, and ``_Orbits``, a symmetric game given compactly, with one cell
-per player-permutation orbit.  Each supplies its welfare vector and its
-strictly improving deviations; ``_Space`` derives the optima, the
-stable optima and the improvement graph's walk from them, once for both,
-and the level engine in ``analysis`` runs on either.
+Two profile spaces share that integer form.  ``_Kernel`` is a game's
+dense table, with flat cell indices.  ``_Orbits`` is a symmetric game
+given compactly, with one cell per player-permutation orbit; an orbit is
+keyed by one integer, its per-strategy counts read as digits in base
+n + 1, so a deviation is one addition and each value the payoff callback
+returns is added into the welfare vector once, in one pass.  Each space
+supplies its welfare vector, its strictly improving deviations and
+their targets alone; ``_Space`` derives the optima, the stable optima
+and the improvement graph's walk from them, once for both, and the
+level engine in ``analysis`` runs on either.  ``check_cap`` and the
+orbit count bound each space by ``DEFAULT_CELL_CAP`` cells, or a cap
+given, before anything is built.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -41,6 +48,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateLabel,
     EmptyStrategySet,
+    ExplosionGuard,
     GameError,
     IndexOutOfRange,
     NegativeAlpha,
@@ -54,6 +62,13 @@ Profile = tuple[int, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+
+#: Default cap on the cells of a profile space: joint strategies, or orbits.
+DEFAULT_CELL_CAP = 10_000_000
+
+# Python turns no int of more than 4,300 digits into a string, so a size
+# past this bound is named by the bound instead of its digits.
+_PRINTABLE = 10 ** 4300
 
 
 class Orientation(str, Enum):
@@ -135,6 +150,40 @@ def _scaled(values) -> tuple[int, list[int]]:
     if keys is not None:  # one int per distinct key: spread them over the sequence
         scaled = list(map(dict(zip(distinct, scaled)).__getitem__, keys))
     return denominator, scaled
+
+
+def _check_size(sizes: Iterable[int], cap: int, space: str, unit: str) -> None:
+    """Raise ExplosionGuard when a space of ``unit``s is larger than ``cap``.
+
+    ``sizes`` are running sizes, each at least the one before, that end at
+    the space's size.  They are read only until one passes both ``cap``
+    and ``_PRINTABLE``, so a huge space costs no more than that bound.
+    """
+    bound = max(cap, _PRINTABLE)
+    size = 1
+    for size in sizes:
+        if size > bound:
+            break
+    if size > cap:
+        text = (size if size < _PRINTABLE else "10^4300" if size == _PRINTABLE
+                else "more than 10^4300")
+        raise ExplosionGuard(f"{space} has {text} {unit}, exceeding the cap of {cap}")
+
+
+def check_cap(counts: Iterable[int], cap: int) -> None:
+    """Raise ExplosionGuard when strategy counts ``counts`` give more than
+    ``cap`` joint strategies."""
+    _check_size(itertools.accumulate(counts, operator.mul), cap,
+                "joint strategy space", "cells")
+
+
+def _orbit_counts(n: int, m: int) -> Iterator[int]:
+    """C(n + k, k) for k = 1, ..., m - 1: the last is the number of orbits
+    of n players on m strategies."""
+    size = 1
+    for k in range(1, m):
+        size = size * (n + k) // k
+        yield size
 
 
 def _check_shape(labels, cells: int, widths: Iterable[int]) -> None:
@@ -419,11 +468,12 @@ class _Space:
     """A finite profile space in scaled integers, larger always better.
 
     A subclass sets ``welfare`` (one int per cell) and ``denominator`` and
-    defines ``profile(cell)`` and ``deviations(cell)``: the strictly
+    defines ``profile(cell)``, ``deviations(cell)``, the strictly
     improving unilateral moves as (player, to_strategy, target cell,
-    integer gain) in (player, strategy) order.  The optima, the stable
+    integer gain) in (player, strategy) order, and ``targets(cell)``,
+    their target cells alone in the same order.  The optima, the stable
     optima and the improvement graph's walk are derived here, once, on
-    first use.
+    first use; the last two read only the targets.
     """
 
     welfare: list[int]
@@ -443,15 +493,15 @@ class _Space:
         """Optima from which no player improves by moving to another optimum."""
         optimal = set(self.optima)
         return [c for c in self.optima
-                if not any(t in optimal for _, _, t, _ in self.deviations(c))]
+                if optimal.isdisjoint(self.targets(c))]
 
     @cached_property
     def improvement(self) -> tuple[list[int] | None, bool]:
         """(order, weakly acyclic) of the graph of edges from each cell to its
-        deviations' targets: Kahn's order (start queue ascending, successors
+        strictly improving targets: Kahn's order (start queue ascending, successors
         in deviation order), or None on a cycle, and whether every cell
         reaches a sink.  The adjacency lists are not kept."""
-        successors = [[t for _, _, t, _ in self.deviations(c)] for c in range(len(self.welfare))]
+        successors = list(map(self.targets, range(len(self.welfare))))
         indegree = [0] * len(successors)
         for targets in successors:
             for t in targets:
@@ -513,6 +563,12 @@ class _Kernel(_Space):
         base = values[cell]
         return [t for t in range(start, start + m * stride, stride) if values[t] > base]
 
+    def targets(self, cell: int) -> list[int]:
+        out = []
+        for i in range(len(self.values)):
+            out += self.moves(cell, i)
+        return out
+
     def deviations(self, cell: int) -> list[tuple[int, int, int, int]]:
         out = []
         for i, values in enumerate(self.values):
@@ -553,17 +609,6 @@ class _Kernel(_Space):
         return self.equilibria()
 
 
-def _shift(counts: tuple[int, ...], j: int, by: int) -> tuple[int, ...]:
-    return counts[:j] + (counts[j] + by,) + counts[j + 1:]
-
-
-def _counts(profile: Iterable[int], m: int) -> tuple[int, ...]:
-    counts = [0] * m
-    for j in profile:
-        counts[j] += 1
-    return tuple(counts)
-
-
 class _Orbits(_Space):
     """A symmetric game given compactly, one cell per player-permutation orbit.
 
@@ -576,36 +621,75 @@ class _Orbits(_Space):
     the deviator's strategy group: the group's moves are all equal, and
     that player's come first in (player, strategy) order.
 
-    Each ``(j, rest)`` is evaluated once and scaled to integers as a
-    game's table is, then negated for cost games: ``rows[rest][j]`` is
-    the value of strategy j against ``rest``.
+    An orbit is keyed by the integer code of its count vector c,
+    ``sum(c[j] * powers[j])`` with ``powers[j] = (n + 1) ** j``: no count
+    exceeds n, so the code is c written in base n + 1, and a move from
+    strategy j to k is ``code - powers[j] + powers[k]``.  The sorted
+    profiles with strategy j read as ``powers[j]`` sum to the codes in
+    cell order: ``codes[cell]`` is the cell's code and ``index`` maps it
+    back.  A cell's counts and profile are decoded from its code on demand.
+
+    Each ``(j, rest)`` is evaluated once, in that order of the others'
+    profiles, and scaled to integers as a game's table is, then negated
+    for cost games: ``rows[r][j]`` is the value of strategy j against the
+    others' code r.  The welfare vector is summed in one pass over those
+    keys: the value of j against r is earned by each of the ``r_j + 1``
+    players on j in orbit ``r + powers[j]``.
+
+    The orbit count, C(n + m - 1, n), is checked against ``cap`` before
+    anything is enumerated or evaluated.
     """
 
-    def __init__(self, n: int, m: int, payoff, orientation: Orientation):
-        self.cells = list(itertools.combinations_with_replacement(range(m), n))
-        self.counts = [_counts(profile, m) for profile in self.cells]
-        self.index = {counts: cell for cell, counts in enumerate(self.counts)}
-        rests = [_counts(others, m)
-                 for others in itertools.combinations_with_replacement(range(m), n - 1)]
-        self.denominator, values = _scaled([payoff(j, rest) for rest in rests for j in range(m)])
+    def __init__(self, n: int, m: int, payoff, orientation: Orientation,
+                 cap: int = DEFAULT_CELL_CAP):
+        _check_size(_orbit_counts(n, m), cap, "orbit space", "orbits")
+        self.base = n + 1
+        self.powers = powers = [self.base ** j for j in range(m)]
+        self.codes = list(map(sum, itertools.combinations_with_replacement(powers, n)))
+        self.index = index = dict(zip(self.codes, itertools.count()))
+        rests = list(map(sum, itertools.combinations_with_replacement(powers, n - 1)))
+        rest_counts = list(map(self._decode, rests))
+        self.denominator, values = _scaled([payoff(j, counts) for counts in rest_counts
+                                            for j in range(m)])
         if orientation is Orientation.COST_MIN:
             values = [-v for v in values]
-        self.rows = {rest: values[k:k + m] for rest, k in zip(rests, range(0, len(values), m))}
-        self.welfare = [sum(self.counts[cell][j] * row[j] for _, j, _, row in self._groups(cell))
-                        for cell in range(len(self.cells))]
+        rows = [values[k:k + m] for k in range(0, len(values), m)]
+        self.rows = dict(zip(rests, rows))
+        self.welfare = welfare = [0] * len(self.codes)
+        for rest, counts, row in zip(rests, rest_counts, rows):
+            for power, others_on_j, value in zip(powers, counts, row):
+                welfare[index[rest + power]] += (others_on_j + 1) * value
 
-    def _groups(self, cell: int):
-        """(first player, strategy, others' counts, value row) per strategy used."""
-        profile, counts = self.cells[cell], self.counts[cell]
-        for player, j in enumerate(profile):
-            if not player or profile[player - 1] != j:
-                rest = _shift(counts, j, -1)
-                yield player, j, rest, self.rows[rest]
+    def _decode(self, code: int) -> tuple[int, ...]:
+        base = self.base
+        return tuple(code // power % base for power in self.powers)
+
+    def counts(self, cell: int) -> tuple[int, ...]:
+        """The number of players on each strategy at ``cell``."""
+        return self._decode(self.codes[cell])
 
     def profile(self, cell: int) -> Profile:
-        return self.cells[cell]
+        return tuple(itertools.chain.from_iterable(map(itertools.repeat, itertools.count(),
+                                                       self.counts(cell))))
+
+    def _played(self, cell: int) -> Iterator[tuple[int, int, int, list[int]]]:
+        """(first player, strategy, others' code, value row) per strategy
+        played at ``cell``, in strategy order."""
+        code = self.codes[cell]
+        player = 0
+        for j, (power, count) in enumerate(zip(self.powers, self.counts(cell))):
+            if count:
+                yield player, j, code - power, self.rows[code - power]
+                player += count
 
     def deviations(self, cell: int) -> list[tuple[int, int, int, int]]:
-        return [(player, to, self.index[_shift(rest, to, 1)], value - row[j])
-                for player, j, rest, row in self._groups(cell)
-                for to, value in enumerate(row) if value > row[j]]
+        index = self.index
+        return [(player, to, index[rest + power], value - row[j])
+                for player, j, rest, row in self._played(cell)
+                for to, (power, value) in enumerate(zip(self.powers, row)) if value > row[j]]
+
+    def targets(self, cell: int) -> list[int]:
+        index = self.index
+        return [index[rest + power]
+                for _, j, rest, row in self._played(cell)
+                for power, value in zip(self.powers, row) if value > row[j]]

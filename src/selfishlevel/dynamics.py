@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Game, Profile, _Kernel
-from .families import DEFAULT_CELL_CAP, check_cap
+from .core import DEFAULT_CELL_CAP, Game, Profile, _Kernel, check_cap
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ def improvement_graph(game: Game, cap: int = DEFAULT_CELL_CAP) -> ImprovementGra
     """Build the full improvement graph in deterministic node/edge order."""
     kernel = _kernel(game, cap)
     nodes = tuple(game.joint_strategies())
-    successors = {s: tuple(nodes[t] for _, _, t, _ in kernel.deviations(k))
+    successors = {s: tuple(map(nodes.__getitem__, kernel.targets(k)))
                   for k, s in enumerate(nodes)}
     return ImprovementGraph(nodes, successors)
 

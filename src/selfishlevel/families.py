@@ -25,11 +25,8 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Union
 
-from .core import ONE, ZERO, Game, Orientation, parse_rational
-from .errors import ExplosionGuard, InfeasibleParams, ParamOutOfRange
-
-#: Default cap on the number of joint strategies a spec may expand to.
-DEFAULT_CELL_CAP = 10_000_000
+from .core import DEFAULT_CELL_CAP, ONE, ZERO, Game, Orientation, check_cap, parse_rational
+from .errors import InfeasibleParams, ParamOutOfRange
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +235,6 @@ class Congestion(_FacilitySubsets):
 # ---------------------------------------------------------------------------
 # expansion to normal form
 # ---------------------------------------------------------------------------
-
-def check_cap(counts, cap: int) -> None:
-    """Raise ExplosionGuard when strategy counts ``counts`` give more than
-    ``cap`` joint strategies."""
-    cells = math.prod(counts)
-    if cells > cap:
-        raise ExplosionGuard(
-            f"joint strategy space has {cells} cells, exceeding the cap of {cap}"
-        )
-
 
 # An expansion maps a spec to (orientation, strategy labels, denominator,
 # cells): the cells are a lazy iterable, in row-major order, of integer

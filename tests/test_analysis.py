@@ -32,8 +32,10 @@ from selfishlevel import (
     upper_contour,
 )
 from selfishlevel import GeneralizedPD, gamedoc, transforms
+from selfishlevel.core import _Orbits
 from selfishlevel.errors import (
     EmptyStrategySet,
+    ExplosionGuard,
     GameError,
     NegativeAlpha,
     NotImproving,
@@ -609,3 +611,82 @@ class TestSymmetricReduction:
         # (1 - c/n) / (c - 1) = (1 - 1/2) / (1/2) = 1
         assert dense.level() == 1
         assert dense == compact
+
+    def test_orbit_cap_is_checked_before_any_payoff_call(self):
+        calls = []
+
+        def payoff(j, rest):
+            calls.append((j, rest))
+            return Fraction(j)
+
+        # C(59, 9) = 12,565,671,261 orbits
+        with pytest.raises(ExplosionGuard) as raised:
+            symmetric_selfishness_level(50, 10, payoff)
+        assert str(raised.value) == ("orbit space has 12565671261 orbits, "
+                                     "exceeding the cap of 10000000")
+        assert calls == []
+        with pytest.raises(ExplosionGuard, match="has 10 orbits, exceeding the cap of 9"):
+            symmetric_selfishness_level(3, 3, payoff, cap=9)
+        assert calls == []
+        assert symmetric_selfishness_level(3, 3, payoff, cap=10).level() == 0
+
+
+def _random_symmetric_payoff(rng):
+    """A payoff callback drawing each (j, rest) value once, from few values
+    so that ties, several optima and improving moves are common."""
+    table = {}
+
+    def payoff(j, rest):
+        if (j, rest) not in table:
+            table[j, rest] = Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
+        return table[j, rest]
+
+    return payoff
+
+
+class TestOrbitSpace:
+    """The orbit space against the dense kernel of the expanded game: each
+    orbit reads as its sorted representative does."""
+
+    def test_matches_the_dense_kernel_on_random_symmetric_games(self):
+        rng = random.Random(11)
+        seen = collections.Counter()
+        for _ in range(60):
+            n, m = rng.randint(2, 4), rng.randint(1, 3)
+            payoff = _random_symmetric_payoff(rng)
+            for orientation in Orientation:
+                game = _expand_symmetric(n, m, payoff, orientation)
+                kernel = game._kernel
+                orbits = _Orbits(n, m, payoff, orientation)
+                assert len(orbits.welfare) == math.comb(n + m - 1, n)
+                cells = [orbits.profile(k) for k in range(len(orbits.welfare))]
+                assert cells == sorted(cells) and all(list(c) == sorted(c) for c in cells)
+                orbit_of = {cell: k for k, cell in enumerate(cells)}
+                dense = [game.flat_index(cell) for cell in cells]
+                optima, stable = set(kernel.optima), set(kernel.stable)
+                assert orbits.optima == [k for k, c in enumerate(dense) if c in optima]
+                assert orbits.stable == [k for k, c in enumerate(dense) if c in stable]
+                for k, c in enumerate(dense):
+                    counts = orbits.counts(k)
+                    assert counts == tuple(map(cells[k].count, range(m)))
+                    assert (Fraction(orbits.welfare[k], orbits.denominator)
+                            == Fraction(kernel.welfare[c], kernel.denominator))
+                    # The dense moves of each group's first player, with
+                    # targets read as orbits.
+                    firsts = {cells[k].index(j) for j in cells[k]}
+                    expected = [(i, to, orbit_of[tuple(sorted(kernel.profile(t)))],
+                                 Fraction(gain, kernel.denominator))
+                                for i, to, t, gain in kernel.deviations(c) if i in firsts]
+                    moves = orbits.deviations(k)
+                    assert [(i, to, t, Fraction(gain, orbits.denominator))
+                            for i, to, t, gain in moves] == expected
+                    assert orbits.targets(k) == [t for _, _, t, _ in moves]
+                    assert kernel.targets(c) == [t for _, _, t, _ in kernel.deviations(c)]
+                    seen["moves"] += bool(moves)
+                order, weakly_acyclic = orbits.improvement
+                assert (order is None) == (kernel.improvement[0] is None)
+                assert weakly_acyclic == kernel.improvement[1]
+                seen["fip" if order is not None else "cycle"] += 1
+                seen["several optima"] += len(optima) > 1
+        assert seen["moves"] and seen["several optima"], seen
+        assert seen["fip"] and seen["cycle"], seen

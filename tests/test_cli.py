@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -351,6 +352,26 @@ class TestExitCodes:
         assert f"has {cells} cells, exceeding the cap of 3" in err
         code, _, _ = cli(["generate", *argv, "--cap", str(cells)])
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "pd_n", "--param", "n=100000", "--cap", "3"],
+        ["generate", "f_level", "--param", "n=10000000", "f=1", "--cap", "3"],
+    ], ids=["pd_n", "f_level"])
+    def test_unprintable_cell_count_is_three(self, cli, argv):
+        start = time.perf_counter()
+        code, out, err = cli(argv)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (3, "")
+        assert err == ("error: joint strategy space has more than 10^4300 cells, "
+                       "exceeding the cap of 3\n")
+
+    def test_document_with_unprintable_cell_count_is_three(self, cli):
+        players = [{"name": f"p{i}", "strategies": ["x", "y"]} for i in range(15000)]
+        document = json.dumps({"orientation": "payoff", "players": players, "payoffs": []})
+        code, _, err = cli(["level"], stdin_text=document)
+        assert code == 3
+        assert err == ("error: joint strategy space has more than 10^4300 cells, "
+                       "exceeding the cap of 10000000\n")
 
     @pytest.mark.parametrize("argv,fixture", [
         (["analyze"], "prisoners_dilemma.json"),

@@ -34,6 +34,8 @@ from selfishlevel import (
     selfishness_level,
     social_optima,
     stable_social_optima,
+    symmetric_form,
+    symmetric_selfishness_level,
     tight_instance,
     tragedy_af,
     tragedy_witness,
@@ -238,6 +240,28 @@ class TestUpperBoundSoundness:
             level = selfishness_level(generate(spec)).level()
             assert level is not None and level <= bound.value
         assert checked >= 10
+
+    @pytest.mark.parametrize("n,k,draws", [(10, 4, 6), (25, 4, 4), (50, 3, 3), (50, 4, 1)])
+    def test_paper_scale_symmetric_singleton_congestion_within_bound(self, n, k, draws):
+        """The singleton bound does not depend on n: specs of n players on k
+        facilities stay within it, with levels read from the orbit space."""
+        rng = random.Random(10 * n + k)
+        positive = 0
+        for _ in range(draws):
+            facilities = {f"e{i}": (Fraction(rng.randint(0, 3)), Fraction(rng.randint(0, 3 * n)))
+                          for i in range(k)}
+            options = tuple((name,) for name in facilities)
+            spec = Congestion(facilities=facilities, strategies=(options,) * n)
+            try:
+                bound = closed_form_level(spec, cap=k ** n)
+            except MissingDiscrepancy:
+                continue
+            form = symmetric_form(spec)
+            level = symmetric_selfishness_level(n, k, form.payoff,
+                                                orientation=form.orientation).level()
+            assert level is not None and level <= bound.value, spec
+            positive += level > 0
+        assert positive
 
     def test_tight_instances_achieve_bounds(self):
         cases = [

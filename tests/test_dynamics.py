@@ -285,13 +285,13 @@ class TestIntegerWalk:
 
     def test_one_walk_per_game(self, monkeypatch):
         calls = []
-        deviations = _Kernel.deviations
+        targets = _Kernel.targets
 
         def counting(self, cell):
             calls.append(cell)
-            return deviations(self, cell)
+            return targets(self, cell)
 
-        monkeypatch.setattr(_Kernel, "deviations", counting)
+        monkeypatch.setattr(_Kernel, "targets", counting)
         game = _family_game("weakly_acyclic_3x3")
         assert not has_fip(game)
         walked = len(calls)

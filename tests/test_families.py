@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from selfishlevel import (
+    DEFAULT_CELL_CAP,
     Congestion,
     CostSharing,
     FLevelGame,
@@ -30,6 +31,7 @@ from selfishlevel import (
     tight_instance,
 )
 from selfishlevel.errors import ExplosionGuard, InfeasibleParams, ParamOutOfRange
+from selfishlevel.families import check_cap
 
 
 class TestPrisonersDilemmaN:
@@ -404,6 +406,25 @@ class TestGuards:
     def test_unknown_spec_rejected(self):
         with pytest.raises(ParamOutOfRange):
             generate(object())
+
+    @pytest.mark.parametrize("counts,text", [
+        ([10] * 4299, "1" + "0" * 4299),  # 4,300 digits: the largest count printed in full
+        ([10] * 4300, "10^4300"),
+        ([10] * 4300 + [2], "more than 10^4300"),
+        ([2] * 100_000, "more than 10^4300"),
+    ], ids=["4300 digits", "10^4300", "just past", "huge"])
+    def test_cap_names_counts_beyond_printing(self, counts, text):
+        with pytest.raises(ExplosionGuard) as raised:
+            check_cap(counts, 3)
+        assert str(raised.value) == f"joint strategy space has {text} cells, exceeding the cap of 3"
+
+    def test_cap_is_read_only_up_to_the_bound(self):
+        def counts():
+            yield from [2] * 20_000
+            raise AssertionError("read past the bound")
+
+        with pytest.raises(ExplosionGuard, match="more than 10\\^4300"):
+            check_cap(counts(), DEFAULT_CELL_CAP)
 
     def test_no_symmetric_form_for_asymmetric_family(self):
         with pytest.raises(ParamOutOfRange):
