@@ -28,9 +28,11 @@ returns is added into the welfare vector once, in one pass.  Each space
 supplies its welfare vector, its strictly improving deviations and
 their targets alone; ``_Space`` derives the optima, the stable optima
 and the improvement graph's walk from them, once for both, and the
-level engine in ``analysis`` runs on either.  ``check_cap`` and the
-orbit count bound each space by ``DEFAULT_CELL_CAP`` cells, or a cap
-given, before anything is built.
+level engine in ``analysis`` runs on either.  ``_Kernel`` also decides
+whether the game has an exact potential, on the same integers; FIP and
+weak acyclicity are read from that first, and the walk is the fallback.
+``check_cap`` and the orbit count bound each space by
+``DEFAULT_CELL_CAP`` cells, or a cap given, before anything is built.
 """
 
 from __future__ import annotations
@@ -126,14 +128,17 @@ def _scaled(values) -> tuple[int, list[int]]:
     times the least common denominator of the sequence.
 
     Each distinct raw value goes through ``parse_rational`` once, in
-    order of first appearance, so the first bad value raises, as it would if every value were parsed in turn.
-    A sequence holding Fractions is read value by value instead: they
-    need no parsing, and hashing one costs more than that.
+    order of first appearance, so the first bad value raises, as it would
+    if every value were parsed in turn.  A sequence holding Fractions is
+    deduplicated by object identity instead: hashing a Fraction costs
+    more than parsing it, and the family callbacks hand back shared
+    Fraction objects.
     """
-    keys = None
     types = set(map(type, values))
     if Fraction in types:
-        exact = list(map(parse_rational, values))
+        distinct = dict(zip(map(id, values), values))
+        keys = map(id, values)  # read once, to spread; a list of ids costs an int each
+        raws = distinct.values()
     else:
         # No int equals a str, so those are their own keys; any other type
         # is keyed with its value, so that True is not taken for 1.
@@ -144,12 +149,13 @@ def _scaled(values) -> tuple[int, list[int]]:
             list(map(parse_rational, values))
             raise
         raws = distinct if keys is values else (raw for _, raw in distinct)
-        exact = list(map(parse_rational, raws))
+    exact = list(map(parse_rational, raws))
     denominator = math.lcm(*{q.denominator for q in exact})
     scaled = [q.numerator * (denominator // q.denominator) for q in exact]
-    if keys is not None:  # one int per distinct key: spread them over the sequence
-        scaled = list(map(dict(zip(distinct, scaled)).__getitem__, keys))
-    return denominator, scaled
+    if len(scaled) == len(values):  # no key repeats: the ints are in sequence order
+        return denominator, scaled
+    # one int per distinct key: spread them over the sequence
+    return denominator, list(map(dict(zip(distinct, scaled)).__getitem__, keys))
 
 
 def _check_size(sizes: Iterable[int], cap: int, space: str, unit: str) -> None:
@@ -534,8 +540,8 @@ class _Kernel(_Space):
     flat cell c times ``denominator``, negated for cost games;
     ``welfare[c]`` is the sum over players.  Cells are
     flat indices, so ascending order is lexicographic profile order.
-    The equilibria, the optima and the stable optima are computed at
-    most once, on first use.
+    The equilibria, the optima, the stable optima and whether the game
+    has an exact potential are computed at most once, on first use.
     """
 
     def __init__(self, game: Game):
@@ -575,6 +581,42 @@ class _Kernel(_Space):
             stride, m = self.strides[i], self.counts[i]
             out += [(i, t // stride % m, t, values[t] - values[cell]) for t in self.moves(cell, i)]
         return out
+
+    @cached_property
+    def exact_potential(self) -> bool:
+        """Whether the game has an exact potential: a P over the cells with
+        ``values[i][t] - values[i][c] == P[t] - P[c]`` for every move of any
+        player i from c to t (Monderer and Shapley, 1996).  P then rises
+        along every improving move, so no improvement path is infinite.
+
+        Each pair of players is screened on its first 2x2 square, the cells
+        0, s_i, s_k and s_i + s_k: the movers' gains around it must sum to
+        0.  Then the one candidate P up to a constant is built along the
+        axes, fastest first: P[0] = 0 and P[c] = P[c - s] + u[c] - u[c - s]
+        for the player of stride s and values u, over the cells whose
+        earlier coordinates are all 0.  The game has a potential exactly
+        when each player's u - P is constant along each of the player's
+        axis segments; they are compared as slices, to the first mismatch.
+        """
+        values, strides, counts = self.values, self.strides, self.counts
+        axes = [i for i, m in enumerate(counts) if m > 1]
+        for i, k in itertools.combinations(axes, 2):
+            u, v, a, b = values[i], values[k], strides[i], strides[k]
+            if u[a] - u[0] + v[a + b] - v[a] + u[b] - u[a + b] + v[0] - v[b]:
+                return False
+        potential = [0]
+        for i in reversed(axes):
+            u, s = values[i], strides[i]
+            for lo in range(s, counts[i] * s, s):
+                potential += map(operator.add, potential[lo - s:lo],
+                                 map(operator.sub, u[lo:lo + s], u[lo - s:lo]))
+        for i in axes:
+            rest = list(map(operator.sub, values[i], potential))
+            s, span = strides[i], counts[i] * strides[i]
+            if not all(rest[c:c + span - s] == rest[c + s:c + span]
+                       for c in range(0, len(rest), span)):
+                return False
+        return True
 
     def equilibria(self, p: int = 0, q: int = 1, cells: Iterable[int] | None = None) -> list[int]:
         """The cells of ``cells`` (default: all, ascending) that are pure Nash

@@ -8,8 +8,15 @@ which for finite games coincides with admitting a generalized ordinal
 potential.  A game is weakly acyclic iff from every node some sink is
 reachable.
 
-It is walked once per game, on the integer cells of the game's kernel
-(``_Space.improvement``); ``ImprovementGraph`` is its profile-keyed view.
+``has_fip`` and ``is_weakly_acyclic`` first ask whether the game has an
+exact potential (``_Kernel.exact_potential``), an integer check on its
+table.  A potential rises along every improving move, so it proves FIP,
+and FIP implies weak acyclicity: congestion and cost sharing games are
+answered without walking the graph.  Any other game falls back to the
+walk, done once per game on the integer cells of the game's kernel
+(``_Space.improvement``).  ``ordinal_potential_certificate`` and
+``improvement_graph`` always walk, since their ranks and edges are the
+answer; ``ImprovementGraph`` is the walk's profile-keyed view.
 """
 
 from __future__ import annotations
@@ -51,14 +58,18 @@ def improvement_graph(game: Game, cap: int = DEFAULT_CELL_CAP) -> ImprovementGra
 
 
 def has_fip(game: Game, cap: int = DEFAULT_CELL_CAP) -> bool:
-    """Whether every improvement path is finite (graph acyclicity)."""
-    return _kernel(game, cap).improvement[0] is not None
+    """Whether every improvement path is finite (graph acyclicity): true at
+    once for a game with an exact potential, else decided by the walk."""
+    kernel = _kernel(game, cap)
+    return kernel.exact_potential or kernel.improvement[0] is not None
 
 
 def is_weakly_acyclic(game: Game, cap: int = DEFAULT_CELL_CAP) -> bool:
     """Whether a finite improvement path to an equilibrium starts at every
-    joint strategy (backward reachability from the sinks)."""
-    return _kernel(game, cap).improvement[1]
+    joint strategy: true at once for a game with an exact potential, which
+    has FIP, else decided by backward reachability from the sinks."""
+    kernel = _kernel(game, cap)
+    return kernel.exact_potential or kernel.improvement[1]
 
 
 def ordinal_potential_certificate(game: Game,

@@ -280,36 +280,33 @@ def _grid_labels(spec: PublicGoodsGrid) -> tuple[str, ...]:
     return tuple(str(v) for v in spec.grid_values())
 
 
-def _public_goods_rule(spec: PublicGoodsGrid) -> tuple[int, Callable[[int, int], int]]:
-    """(d, pay): ``pay(j, steps) / d`` is the payoff of a player on grid
-    point j when the contributions total ``steps`` grid steps.
+def _public_goods_rows(spec: PublicGoodsGrid) -> tuple[int, list[list[int]]]:
+    """(d, rows): ``rows[steps][j] / d`` is the payoff of a player on grid
+    point j when the contributions total ``steps`` grid steps, for every
+    total a profile can reach.
 
     Grid point j is j steps of b/k, so the payoff b - v_j + (c/n)*total
     is (b/k) * ((k - j) + c*steps/n): an integer over d for every j and
     steps.  With b = 0 the grid is the single point 0 and every payoff 0.
     """
+    m = len(spec.grid_values())
     step = spec.b / spec.grid_steps
     c = spec.c
     scale = spec.n * c.denominator
-
-    def pay(j: int, steps: int) -> int:
-        return step.numerator * ((spec.grid_steps - j) * scale + c.numerator * steps)
-
-    return step.denominator * scale, pay
+    rows = [[step.numerator * ((spec.grid_steps - j) * scale + c.numerator * steps)
+             for j in range(m)] for steps in range(spec.n * (m - 1) + 1)]
+    return step.denominator * scale, rows
 
 
 def _expand_public_goods(spec: PublicGoodsGrid):
-    m = len(spec.grid_values())
-    d, pay = _public_goods_rule(spec)
-    # rows[steps][j], for every total a profile can reach
-    rows = [[pay(j, steps) for j in range(m)] for steps in range(spec.n * (m - 1) + 1)]
+    d, rows = _public_goods_rows(spec)
 
     def cell(chosen):
         row = rows[sum(chosen)]
         return tuple(map(row.__getitem__, chosen))
 
     return (Orientation.PAYOFF_MAX, (_grid_labels(spec),) * spec.n, d,
-            map(cell, itertools.product(range(m), repeat=spec.n)))
+            map(cell, itertools.product(range(len(rows[0])), repeat=spec.n)))
 
 
 _CLAIMS = range(2, 101)  # the traveler's dilemma's strategies
@@ -326,12 +323,11 @@ def _travelers_pay(own: int, other: int) -> int:
 
 
 def _expand_travelers(_: TravelersDilemma):
-    def cell(pair):
-        a, b = pair
-        return _travelers_pay(a, b), _travelers_pay(b, a)
-
+    # rows[a][b]: the pay of the a-th claim against the b-th, so player 1's
+    # column is the rows in turn and player 2's the columns in turn
+    rows = [[_travelers_pay(own, other) for other in _CLAIMS] for own in _CLAIMS]
     return (Orientation.PAYOFF_MAX, (tuple(map(str, _CLAIMS)),) * 2, 1,
-            map(cell, itertools.product(_CLAIMS, repeat=2)))
+            zip(itertools.chain.from_iterable(rows), itertools.chain.from_iterable(zip(*rows))))
 
 
 def _expand_f_level(spec: FLevelGame):
@@ -445,21 +441,20 @@ def _pd_n_form(spec: PrisonersDilemmaN) -> SymmetricForm:
 
 
 def _public_goods_form(spec: PublicGoodsGrid) -> SymmetricForm:
-    d, pay = _public_goods_rule(spec)
-
-    @cache
-    def value(j: int, steps: int) -> Fraction:
-        return Fraction(pay(j, steps), d)
+    d, rows = _public_goods_rows(spec)
+    table = [[Fraction(v, d) for v in row] for row in rows]
 
     def pg_pay(j: int, rest: tuple[int, ...]) -> Fraction:
-        return value(j, j + sum(map(operator.mul, range(len(rest)), rest)))
+        return table[j + sum(map(operator.mul, range(len(rest)), rest))][j]
 
     return SymmetricForm(spec.n, _grid_labels(spec), pg_pay)
 
 
 def _travelers_form(_: TravelersDilemma) -> SymmetricForm:
+    fraction = cache(Fraction)  # one shared object per pay, which the orbit build scales once
+
     def td_pay(j: int, rest: tuple[int, ...]) -> Fraction:
-        return Fraction(_travelers_pay(_CLAIMS[j], _CLAIMS[rest.index(1)]))
+        return fraction(_travelers_pay(_CLAIMS[j], _CLAIMS[rest.index(1)]))
 
     return SymmetricForm(2, tuple(map(str, _CLAIMS)), td_pay)
 

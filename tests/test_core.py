@@ -184,6 +184,23 @@ class TestStore:
         with pytest.raises(GameError, match="not a rational value: True|floating-point"):
             Game(Orientation.PAYOFF_MAX, self.LABELS, cells)
 
+    @pytest.mark.parametrize("cells,message", [
+        (((Fraction(1, 2), 0.5), (Fraction(1, 2), [1])), "floating-point value 0.5 rejected"),
+        (((Fraction(1, 2), [1]), (0.5, Fraction(1, 2))), r"not a rational value: \[1\]"),
+        (((Fraction(1, 2), "1/0"), (True, 1)), "zero denominator in '1/0'"),
+    ])
+    def test_first_bad_value_among_fractions_raises(self, cells, message):
+        with pytest.raises(GameError, match=message):
+            Game(Orientation.PAYOFF_MAX, self.LABELS, cells)
+
+    def test_distinct_equal_fractions_give_one_store(self):
+        half = Fraction(1, 2)
+        shared = Game(Orientation.PAYOFF_MAX, self.LABELS, ((half, half), (half, 2)))
+        distinct = Game(Orientation.PAYOFF_MAX, self.LABELS,
+                        ((Fraction(1, 2), Fraction(2, 4)), (Fraction(-1, -2), Fraction(2))))
+        assert (distinct.denominator, distinct.columns) == (2, ((1, 1), (1, 4)))
+        assert distinct == shared and hash(distinct) == hash(shared)
+
     def test_derived_games_reduce_to_the_canonical_store(self, pd):
         assert pd.negated().negated() == pd
         assert hash(pd.negated().negated()) == hash(pd)

@@ -1,10 +1,13 @@
-"""Improvement graph, FIP, weak acyclicity, potential certificates."""
+"""Improvement graph, FIP, weak acyclicity, exact and ordinal potentials."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from selfishlevel import (
+    BattleOfSexes,
     Congestion,
     CostSharing,
     FLevelGame,
@@ -230,13 +233,70 @@ def _reference_walk(graph):
     return acyclic, weakly
 
 
+def _four_cycle_potential(game):
+    """Whether the game has an exact potential, by Monderer and Shapley's
+    condition: around every 4-cycle of moves by two players, the movers'
+    gains sum to 0.  Every such square's sum is a signed sum of those of
+    the squares with a corner at both movers' first strategy, so only
+    those are checked."""
+    value = dict(zip(game.joint_strategies(), game.payoffs))
+    counts = game.strategy_counts
+
+    def moved(profile, player, to):
+        return profile[:player] + (to,) + profile[player + 1:]
+
+    for s in game.joint_strategies():
+        for i, k in itertools.combinations(range(len(counts)), 2):
+            if s[i] or s[k]:
+                continue
+            for a, b in itertools.product(range(1, counts[i]), range(1, counts[k])):
+                x = moved(s, i, a)
+                y, z = moved(x, k, b), moved(s, k, b)
+                gains = (value[x][i] - value[s][i] + value[y][k] - value[x][k]
+                         + value[z][i] - value[y][i] + value[s][k] - value[z][k])
+                if gains:
+                    return False
+    return True
+
+
+def _random_facility_spec(rng):
+    """A Congestion or CostSharing spec: 2-3 players, each with 1-3
+    subsets of 1-2 of 2-4 facilities."""
+    names = [f"e{i}" for i in range(rng.randint(2, 4))]
+    strategies = tuple(
+        tuple(dict.fromkeys(tuple(sorted(rng.sample(names, rng.randint(1, 2))))
+                            for _ in range(rng.randint(1, 3))))
+        for _ in range(rng.randint(2, 3)))
+    if rng.random() < 0.5:
+        return Congestion(facilities={name: (Fraction(rng.randint(0, 3), rng.choice((1, 2))),
+                                             Fraction(rng.randint(0, 4), rng.choice((1, 3))))
+                                      for name in names}, strategies=strategies)
+    return CostSharing(facility_costs={name: Fraction(rng.randint(0, 6), rng.choice((1, 2)))
+                                       for name in names}, strategies=strategies)
+
+
+def _doubled_battle_of_sexes():
+    """Battle of the sexes with player 1's payoffs doubled: FIP, but its
+    4-cycle's gains sum to -3, so it has no exact potential."""
+    game = generate(BattleOfSexes())
+    return Game(game.orientation, game.strategy_labels,
+                [(2 * a, b) for a, b in game.payoffs])
+
+
+def _dynamics_games():
+    """Every game the walk and the potential check are compared on."""
+    games = [Game(orientation, table.strategy_labels, table.payoffs)
+             for table in CORPUS for orientation in Orientation]
+    games += [_family_game(name) for name in families.FAMILIES]
+    rng = random.Random(1996)
+    games += [generate(_random_facility_spec(rng)) for _ in range(40)]
+    return games + [_doubled_battle_of_sexes()]
+
+
 class TestIntegerWalk:
     def test_matches_reference_walk(self):
-        games = [Game(orientation, table.strategy_labels, table.payoffs)
-                 for table in CORPUS for orientation in Orientation]
-        games += [_family_game(name) for name in families.FAMILIES]
         classes = set()
-        for game in games:
+        for game in _dynamics_games():
             graph = improvement_graph(game)
             acyclic, weakly = _reference_walk(graph)
             assert has_fip(game) == acyclic
@@ -314,3 +374,60 @@ class TestIntegerWalk:
         with pytest.raises(ExplosionGuard) as raised:
             query(travelers)
         assert str(raised.value) == "joint strategy space has 9801 cells, exceeding the cap of 100"
+
+
+class TestExactPotential:
+    def test_matches_four_cycle_condition(self):
+        classes = set()
+        for game in _dynamics_games():
+            exact = game._kernel.exact_potential
+            assert exact == _four_cycle_potential(game)
+            acyclic, weakly = _reference_walk(improvement_graph(game))
+            if exact:
+                assert acyclic and weakly
+            classes.add((exact, acyclic))
+        assert classes == {(True, True), (False, True), (False, False)}
+
+    def test_facility_games_have_one(self):
+        rng = random.Random(1973)
+        for _ in range(40):
+            assert generate(_random_facility_spec(rng))._kernel.exact_potential
+
+    @staticmethod
+    def _count_walks(monkeypatch):
+        calls = []
+        targets = _Kernel.targets
+
+        def counting(self, cell):
+            calls.append(cell)
+            return targets(self, cell)
+
+        monkeypatch.setattr(_Kernel, "targets", counting)
+        return calls
+
+    def test_fip_game_without_one_is_walked(self, monkeypatch):
+        calls = self._count_walks(monkeypatch)
+        game = _doubled_battle_of_sexes()
+        assert not game._kernel.exact_potential
+        assert has_fip(game)
+        assert len(calls) == game.cell_count
+        assert is_weakly_acyclic(game)
+        assert list(ordinal_potential_certificate(game).values()) == [0, 1, 2, 3]
+        assert len(calls) == game.cell_count
+
+    @pytest.mark.parametrize("name,ranks", [
+        ("congestion_integer_tight", [((0, 0, 0, 0), 0), ((0, 0, 0, 1), 1)]),
+        ("pd_n", [((0, 0, 0), 0), ((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 3),
+                  ((1, 1, 0), 4), ((1, 0, 1), 5), ((0, 1, 1), 6), ((1, 1, 1), 7)]),
+    ])
+    def test_potential_games_are_not_walked(self, monkeypatch, name, ranks):
+        calls = self._count_walks(monkeypatch)
+        game = _family_game(name)
+        assert has_fip(game) and is_weakly_acyclic(game)
+        report = gamedoc.dynamics_report(gamedoc.GameDocument.from_game(game),
+                                         families.DEFAULT_CELL_CAP)
+        assert (report["finite_improvement_property"], report["weakly_acyclic"],
+                report["ordinal_potential_certificate"]) == (True, True, True)
+        assert calls == []
+        assert list(ordinal_potential_certificate(game).items()) == ranks
+        assert len(calls) == game.cell_count
