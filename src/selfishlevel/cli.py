@@ -17,6 +17,7 @@ cell cap (``--cap``).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -68,9 +69,9 @@ _CLOSED_FORM_FAMILIES = {**families.FAMILIES, **closedform.CONTINUOUS}
 def cmd_analyze(args) -> int:
     doc = gamedoc.parse_game_document(_read_text(args.file), args.cap)
     started = time.perf_counter()
-    body = gamedoc.analyze_report(doc)
+    body = gamedoc.analyze_body(doc)
     elapsed = time.perf_counter() - started
-    sys.stdout.write(gamedoc.render_report(body, {"analyze_seconds": elapsed}))
+    sys.stdout.write(gamedoc.render_report(body, {"analyze_seconds": elapsed}, doc))
     return 0
 
 
@@ -114,9 +115,9 @@ def cmd_generate(args) -> int:
 def cmd_dynamics(args) -> int:
     doc = gamedoc.parse_game_document(_read_text(args.file), args.cap)
     started = time.perf_counter()
-    body = gamedoc.dynamics_report(doc, args.cap)
+    body = gamedoc.dynamics_body(doc, args.cap)
     elapsed = time.perf_counter() - started
-    sys.stdout.write(gamedoc.render_report(body, {"dynamics_seconds": elapsed}))
+    sys.stdout.write(gamedoc.render_report(body, {"dynamics_seconds": elapsed}, doc))
     return 0
 
 
@@ -125,8 +126,8 @@ def cmd_sweep(args) -> int:
     alphas = [parse_rational(part) for part in args.alphas.split(",") if part]
     if not alphas:
         raise ParamOutOfRange("--alphas needs at least one value")
-    body = gamedoc.sweep_report(doc, alphas)
-    sys.stdout.write(gamedoc.render_report(body))
+    body = gamedoc.sweep_body(doc, alphas)
+    sys.stdout.write(gamedoc.render_report(body, None, doc))
     return 0
 
 
@@ -169,12 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="equilibria, optima, level, prices")
     add_file(p)
     add_cap(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("level", help="print the selfishness level: 0, p/q, or inf")
     add_file(p)
     add_cap(p)
-    p.set_defaults(func=cmd_level)
 
     p = sub.add_parser("transform", help="altruistic / shift / scale / inverse transform")
     add_file(p)
@@ -184,37 +183,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", default=None, help="multiply every value by a positive constant")
     p.add_argument("--inverse", action="store_true",
                    help="invert the altruistic transform instead of applying it")
-    p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("generate", help="emit a game document for a family")
     add_family(p, families.FAMILIES)
     add_cap(p)
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("dynamics", help="improvement-path properties")
     add_file(p)
     add_cap(p)
-    p.set_defaults(func=cmd_dynamics)
 
     p = sub.add_parser("sweep", help="price of stability of the altruistic versions")
     add_file(p)
     p.add_argument("--alphas", required=True, help="comma-separated altruism shares")
     add_cap(p)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("closedform", help="analytic level or bound for a family")
     add_family(p, _CLOSED_FORM_FAMILIES)
     add_cap(p)
-    p.set_defaults(func=cmd_closedform)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; each ``parse_args`` returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up by name at call time, so a command replaced on the module runs.
+        return globals()[f"cmd_{args.command}"](args)
     except BrokenPipeError:
         return 0
     except ExplosionGuard as e:

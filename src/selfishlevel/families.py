@@ -443,9 +443,13 @@ def _pd_n_form(spec: PrisonersDilemmaN) -> SymmetricForm:
 def _public_goods_form(spec: PublicGoodsGrid) -> SymmetricForm:
     d, rows = _public_goods_rows(spec)
     table = [[Fraction(v, d) for v in row] for row in rows]
+    last_rest, last_steps = None, 0  # the orbit build asks every j against one rest in turn
 
     def pg_pay(j: int, rest: tuple[int, ...]) -> Fraction:
-        return table[j + sum(map(operator.mul, range(len(rest)), rest))][j]
+        nonlocal last_rest, last_steps
+        if rest is not last_rest:
+            last_rest, last_steps = rest, sum(map(operator.mul, range(len(rest)), rest))
+        return table[j + last_steps][j]
 
     return SymmetricForm(spec.n, _grid_labels(spec), pg_pay)
 

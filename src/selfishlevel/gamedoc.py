@@ -13,12 +13,16 @@ report body.
 
 Documents and reports are written in the layout of ``json.dumps(obj,
 indent=2)`` plus a newline, byte for byte.  The payoff tensor's text is
-written by hand, since the indenting encoder is pure Python: each
-distinct value is encoded once, and the separators between values and
-between cells are precomputed per depth.  The rest of the object goes
-through ``json.dumps`` with a placeholder where the tensor belongs, and
-the parts are joined once.  The dense tensor is read back one depth at
-a time, in ``Game.from_dense``.
+written by hand from the game's flat integer store, since the indenting
+encoder is pure Python: each distinct value is encoded once, and the
+separators between values and between cells are precomputed per depth.
+The rest of the object goes through ``json.dumps`` with a placeholder
+where the tensor belongs, and the parts are joined once.  A report's
+analysis part (``analyze_body`` and its siblings) carries no game: the
+CLI hands it to ``render_report`` with the document, so the echoed
+tensor is never built as nested lists.  ``analyze_report`` and its
+siblings add the nested ``game`` for library callers.  The dense tensor
+is read back one depth at a time, in ``Game.from_dense``.
 """
 
 from __future__ import annotations
@@ -69,9 +73,15 @@ def _reject_float(text: str):
     )
 
 
+_DECODER = json.JSONDecoder(parse_float=_reject_float)
+
+
 def _load_json(text: str):
     try:
-        return json.loads(text, parse_float=_reject_float)
+        if not isinstance(text, str) or text.startswith("\ufeff"):
+            # json.loads decodes bytes and names a leading byte-order mark.
+            return json.loads(text, parse_float=_reject_float)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(e.msg, e.lineno, e.colno) from None
     except RecursionError:
@@ -241,18 +251,18 @@ def _tensor_parts(texts: list[str], counts: list[int], level: int) -> list[str]:
     return parts
 
 
-def _document_parts(obj: dict, texts: list[str], level: int) -> list[str]:
-    """The indented JSON text of a document object at nesting ``level``
-    whose payoff values have the JSON ``texts``, as parts to join.
+def _document_parts(doc: GameDocument, level: int) -> list[str]:
+    """The indented JSON text of ``document_to_obj(doc)`` at nesting
+    ``level``, as parts to join, written from the game's flat store.
 
     All but the payoff tensor goes through ``json.dumps``; ``payoffs``
     is the object's last key, so the tensor's text takes the place of a
     placeholder at the very end.
     """
     pad = "\n" + "  " * level
-    head = json.dumps({**obj, "payoffs": 0}, indent=2).replace("\n", pad)
-    counts = [len(player["strategies"]) for player in obj["players"]]
-    parts = _tensor_parts(texts, counts, level + 1)
+    head = json.dumps({**_document_head(doc), "payoffs": 0}, indent=2).replace("\n", pad)
+    texts = _payoff_values(doc.game, json.dumps)
+    parts = _tensor_parts(texts, doc.game.strategy_counts, level + 1)
     parts.insert(0, head[:-len(pad) - 2])
     parts.append(pad + "}")
     return parts
@@ -264,7 +274,7 @@ def render_game_document(doc: GameDocument) -> str:
     The text is ``json.dumps(document_to_obj(doc), indent=2)`` plus a
     newline, written in one join from the game's flat store.
     """
-    parts = _document_parts(_document_head(doc), _payoff_values(doc.game, json.dumps), 0)
+    parts = _document_parts(doc, 0)
     parts.append("\n")
     return "".join(parts)
 
@@ -305,11 +315,11 @@ def level_obj(doc: GameDocument, result: analysis.LevelResult) -> dict:
     return obj
 
 
-def analyze_report(doc: GameDocument) -> dict:
-    """Full analysis body: equilibria, optima, level, prices."""
+def analyze_body(doc: GameDocument) -> dict:
+    """The analysis part of ``analyze_report``: equilibria, optima,
+    level, prices."""
     game = doc.game
     return {
-        "game": document_to_obj(doc),
         "pure_nash": [_labels(game, s) for s in analysis.pure_nash(game)],
         "social_optima": [_labels(game, s) for s in analysis.social_optima(game)],
         "stable_social_optima": [
@@ -322,21 +332,21 @@ def analyze_report(doc: GameDocument) -> dict:
     }
 
 
-def dynamics_report(doc: GameDocument, cap: int) -> dict:
+def dynamics_body(doc: GameDocument, cap: int) -> dict:
+    """The analysis part of ``dynamics_report``: the improvement-path flags."""
     # A potential certificate exists exactly when the game has FIP.
     fip = dynamics.has_fip(doc.game, cap)
     return {
-        "game": document_to_obj(doc),
         "finite_improvement_property": fip,
         "weakly_acyclic": dynamics.is_weakly_acyclic(doc.game, cap),
         "ordinal_potential_certificate": fip,
     }
 
 
-def sweep_report(doc: GameDocument, alphas) -> dict:
+def sweep_body(doc: GameDocument, alphas) -> dict:
+    """The analysis part of ``sweep_report``: the selfishness function."""
     table = analysis.selfishness_function(doc.game, alphas)
     return {
-        "game": document_to_obj(doc),
         "selfishness_function": [
             {"alpha": format_rational(alpha), "price_of_stability": _optional_rational(pos)}
             for alpha, pos in table
@@ -344,25 +354,35 @@ def sweep_report(doc: GameDocument, alphas) -> dict:
     }
 
 
-def render_report(body: dict, timings: dict | None = None) -> str:
+def analyze_report(doc: GameDocument) -> dict:
+    """Full analysis report: the echoed game, then ``analyze_body``."""
+    return {"game": document_to_obj(doc), **analyze_body(doc)}
+
+
+def dynamics_report(doc: GameDocument, cap: int) -> dict:
+    return {"game": document_to_obj(doc), **dynamics_body(doc, cap)}
+
+
+def sweep_report(doc: GameDocument, alphas) -> dict:
+    return {"game": document_to_obj(doc), **sweep_body(doc, alphas)}
+
+
+def render_report(body: dict, timings: dict | None = None,
+                  doc: GameDocument | None = None) -> str:
     """Wrap a deterministic report body with segregated timings.
 
-    The text is ``json.dumps({"report": body, "timings": timings},
-    indent=2)`` plus a newline.  A body whose first key is ``game``
-    (a document object) has that object written by ``_document_parts``,
-    in place of a placeholder at the start of the rest.
+    Without ``doc`` the text is ``json.dumps({"report": body, "timings":
+    timings}, indent=2)`` plus a newline.  With ``doc``, the report is
+    ``{"game": document_to_obj(doc), **body}`` for a game-less ``body``,
+    and the game is written first, by ``_document_parts`` from the
+    game's flat store, in place of a placeholder at the start of the rest.
     """
-    wrapper = {"report": body, "timings": timings or {}}
-    if next(iter(body), None) != "game":
-        return json.dumps(wrapper, indent=2) + "\n"
-    wrapper["report"] = {**body, "game": 0}
-    rest = json.dumps(wrapper, indent=2)
+    timings = timings or {}
+    if doc is None:
+        return json.dumps({"report": body, "timings": timings}, indent=2) + "\n"
+    rest = json.dumps({"report": {"game": 0, **body}, "timings": timings}, indent=2)
     prefix = '{\n  "report": {\n    "game": '
-    values = body["game"]["payoffs"]
-    for _ in body["game"]["players"]:  # flatten the nested tensor
-        values = list(itertools.chain.from_iterable(values))
-    text = {v: json.dumps(v) for v in set(values)}
-    parts = _document_parts(body["game"], list(map(text.__getitem__, values)), 2)
+    parts = _document_parts(doc, 2)
     parts.insert(0, prefix)
     parts += (rest[len(prefix) + 1:], "\n")
     return "".join(parts)

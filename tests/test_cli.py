@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from selfishlevel import closedform, families
+from selfishlevel import cli as cli_module, closedform, families
 from selfishlevel.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -411,3 +411,28 @@ def test_readme_lists_the_registered_families():
             == list(families.FAMILIES))
     assert (sorted(_readme_names("`closedform` additionally accepts", "("))
             == sorted(closedform.CONTINUOUS))
+
+
+def test_parser_is_built_once_and_calls_stay_independent(cli, capsys, monkeypatch):
+    code, pd3, _ = cli(["generate", "pd_n", "--param", "n=3"])
+    assert code == 0
+
+    def rebuilt():
+        raise AssertionError("the parser was built again")
+
+    monkeypatch.setattr(cli_module, "build_parser", rebuilt)
+    # --param appends: a second call must not see the first call's values.
+    code, pd2, _ = cli(["generate", "pd_n", "--param", "n=2"])
+    assert code == 0 and pd2 != pd3
+    assert cli(["level"], stdin_text=pd2)[:2] == (0, "1\n")
+    _, inverse, _ = cli(["transform", "--alpha", "1/2", "--inverse"], stdin_text=pd3)
+    assert cli(["transform", "--alpha", "1/2"], stdin_text=pd3)[1] != inverse
+    with pytest.raises(SystemExit) as info:
+        main(["sweep"])  # --alphas is required
+    assert info.value.code == 2
+    assert "the following arguments are required: --alphas" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: selfishlevel")
+    assert cli(["generate", "pd_n", "--param", "n=3"])[:2] == (0, pd3)

@@ -1,8 +1,10 @@
 """Game-document parsing, rendering, and report structure."""
 
+import io
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from selfishlevel import (
     Game,
     Orientation,
     PublicGoodsGrid,
+    cli,
     core,
     gamedoc,
     generate,
@@ -32,9 +35,12 @@ from selfishlevel.errors import (
 )
 from selfishlevel.gamedoc import (
     GameDocument,
+    analyze_body,
     analyze_report,
     document_to_obj,
+    dynamics_body,
     dynamics_report,
+    sweep_body,
     sweep_report,
 )
 
@@ -85,6 +91,16 @@ class TestParsing:
         obj["payoffs"][0][0][0] = 2.5
         with pytest.raises(GameDocumentError):
             parse_game(json.dumps(obj))
+
+    def test_leading_byte_order_mark_is_named(self, capsys, monkeypatch):
+        text = "\ufeff" + fixture_text("prisoners_dilemma.json")
+        message = "Unexpected UTF-8 BOM (decode using utf-8-sig) (line 1, column 1)"
+        with pytest.raises(DocumentSyntaxError, match=r"^Unexpected UTF-8 BOM") as info:
+            parse_game(text)
+        assert str(info.value) == message
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert cli.main(["level"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(DocumentSyntaxError) as info:
@@ -225,6 +241,15 @@ class TestReports:
         doc = GameDocument.from_game(pd)
         json.dumps(document_to_obj(doc))
 
+    def test_reports_are_the_game_then_the_body(self, pd):
+        doc = GameDocument.from_game(pd)
+        alphas = [Fraction(0), Fraction(1, 2)]
+        for report, body in [(analyze_report(doc), analyze_body(doc)),
+                             (dynamics_report(doc, 100), dynamics_body(doc, 100)),
+                             (sweep_report(doc, alphas), sweep_body(doc, alphas))]:
+            assert list(report) == ["game", *body]
+            assert report == {"game": document_to_obj(doc), **body}
+
 
 # Names and labels that a hand-written layout could get wrong.
 HOSTILE = ['"', "\\", "caf\u00e9", "\u2603", "\x00\n\t", "payoffs", '"payoffs": [', "]",
@@ -273,6 +298,66 @@ def test_rendering_equals_the_reference_encoder(matching_pennies):
             timings = {"analyze_seconds": rng.random() / 7}
             assert render_report(body, timings) == _reference({"report": body, "timings": timings})
             assert render_report(body) == _reference({"report": body, "timings": {}})
+            del body["game"]
+            assert render_report(body, timings, doc) == _reference(
+                {"report": {"game": document_to_obj(doc), **body}, "timings": timings})
+            assert render_report(body, None, doc) == _reference(
+                {"report": {"game": document_to_obj(doc), **body}, "timings": {}})
     assert kinds == {"zero", "finite", "infinite"}
     closed = {"family": "pd_n", "result": {"kind": "finite", "value": "1/3", "tight": True}}
     assert render_report(closed, {"t": 0.5}) == _reference({"report": closed, "timings": {"t": 0.5}})
+
+
+def _run_cli(monkeypatch, capsys, argv, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    return out
+
+
+SWEEP = "0,1/2,3"
+CAP = 10**7
+
+
+def _library_reports(doc: GameDocument) -> dict[str, tuple[dict, list[str]]]:
+    """Each CLI report command's library report and timing keys."""
+    alphas = [Fraction(a) for a in SWEEP.split(",")]
+    return {
+        "analyze": (analyze_report(doc), ["analyze_seconds"]),
+        "dynamics": (dynamics_report(doc, CAP), ["dynamics_seconds"]),
+        "sweep": (sweep_report(doc, alphas), []),
+    }
+
+
+def _argv(command: str) -> list[str]:
+    extra = {"sweep": ["--alphas", SWEEP]}.get(command, [])
+    return [command, *extra, "--cap", str(CAP)]
+
+
+def test_cli_reports_equal_the_library_reports(monkeypatch, capsys):
+    rng = random.Random(13)
+    docs = [_hostile_document(rng) for _ in range(16)]
+    assert {doc.game.orientation for doc in docs} == set(Orientation)
+    for doc in docs:
+        text = render_game_document(doc)
+        for command, (body, timing_keys) in _library_reports(doc).items():
+            out = _run_cli(monkeypatch, capsys, _argv(command), text)
+            timings = json.loads(out)["timings"]
+            assert list(timings) == timing_keys
+            assert out == _reference({"report": body, "timings": timings})
+
+
+def test_cli_reports_build_no_nested_tensor(monkeypatch, capsys):
+    doc = GameDocument.from_game(generate(PublicGoodsGrid(n=3, b=1, c=Fraction(3, 2),
+                                                           grid_steps=3)))
+    text = render_game_document(doc)
+    expected = {command: body for command, (body, _) in _library_reports(doc).items()}
+
+    def nested(game):
+        raise AssertionError("a CLI report nested the payoff tensor")
+
+    monkeypatch.setattr(gamedoc, "_dense_payoffs", nested)
+    for command, body in expected.items():
+        out = _run_cli(monkeypatch, capsys, _argv(command), text)
+        assert out == _reference({"report": body, "timings": json.loads(out)["timings"]})
