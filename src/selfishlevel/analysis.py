@@ -20,12 +20,12 @@ One level engine, ``_level``, serves the dense table of a game
 (``selfishness_level``) and the orbit space of a compact symmetric game
 (``symmetric_selfishness_level``), so both pick the same witnesses.
 
-Queries at an altruism share alpha = p/q (``is_alpha_selfish``,
-``selfishness_function``) run on the same kernel, never on a transformed
-game: the altruistic payoff p_i + alpha*SW, scaled by the kernel's
-positive factor and by q, is the integer q*v_i + p*W.  A positive
-rescaling keeps every equilibrium and optimum, so the answers equal
-those computed on ``transforms.altruistic(game, alpha)``.
+Queries at a share alpha run on the same kernel, never on a transformed
+game.  A stable optimum is an equilibrium of the altruistic game exactly
+when alpha is at least its threshold, its largest appeal factor, so alpha
+is selfish exactly when it reaches the level, the least threshold.  Only
+prices below the level need the altruistic equilibria: at alpha = p/q they
+are those of the integers q*v_i + p*W, a positive rescaling of p_i + alpha*SW.
 """
 
 from __future__ import annotations
@@ -257,33 +257,26 @@ def stabilizing_alpha(game: Game, profile: Profile) -> Fraction:
     Zero when the optimum already is a Nash equilibrium; otherwise the
     maximum appeal factor over all improving deviations at it.
     """
-    cell = _stable_cell(game, profile)
-    kernel = game._kernel
-    return max((Fraction(gain, kernel.welfare[cell] - kernel.welfare[t])
-                for _, _, t, gain in kernel.deviations(cell)), default=ZERO)
+    threshold = game._kernel.threshold(_stable_cell(game, profile))
+    return ZERO if threshold is None else Fraction(threshold[0], threshold[1])
 
 
 def _level(space) -> LevelResult:
     """The level on a profile space (see ``core._Space``).
 
-    Over the stable optima in cell order, the least largest appeal
-    factor; ties keep the first optimum and, at it, the first deviation
-    in (player, strategy) order.
+    Over the stable optima in cell order, the first least threshold;
+    the first optimum without one (an equilibrium) ends the scan at 0.
     """
     best = None
     for cell in space.stable:
-        steepest = None
-        for move in space.deviations(cell):
-            drop = space.welfare[cell] - space.welfare[move[2]]
-            if steepest is None or move[3] * steepest[1] > steepest[0] * drop:
-                steepest = (move[3], drop, cell, move)
-        if steepest is None:
+        threshold = space.threshold(cell)
+        if threshold is None:
             return LevelResult.zero(space.profile(cell))
-        if best is None or steepest[0] * best[1] < best[0] * steepest[1]:
-            best = steepest
+        if best is None or threshold[0] * best[2] < best[1] * threshold[1]:
+            best = (cell, *threshold)
     if best is None:
         return LevelResult.infinite()
-    gain, drop, cell, move = best
+    cell, gain, drop, move = best
     return LevelResult.finite(Fraction(gain, drop), space.profile(cell),
                               _deviation_record(space, cell, move))
 
@@ -302,24 +295,22 @@ def is_alpha_selfish(game: Game, alpha) -> bool:
     """Whether the altruistic version at ``alpha`` has an equilibrium that
     is a social optimum of the original game (the two optimum sets agree).
 
-    The altruistic game is never built: the kernel's optima are tested
-    for equilibrium on ``q * v_i + p * W`` at alpha = p/q.
+    It holds exactly when alpha reaches the level: no equilibrium is
+    computed and no altruistic game is built.
     """
     alpha = parse_share(alpha)
-    kernel = game._kernel
-    return bool(kernel.equilibria(alpha.numerator, alpha.denominator, kernel.optima))
+    level = _level(game._kernel).level()
+    return level is not None and alpha >= level
 
 
 # ---------------------------------------------------------------------------
 # prices of stability and anarchy
 # ---------------------------------------------------------------------------
 
-def _price(game: Game, pick, equilibria: list[int] | None = None) -> Fraction | None:
+def _price(game: Game, pick, equilibria: list[int]) -> Fraction | None:
     """Optimum against the welfare that ``pick`` selects among the
-    equilibrium cells ``equilibria`` (default: the game's own)."""
+    equilibrium cells ``equilibria``."""
     kernel = game._kernel
-    if equilibria is None:
-        equilibria = kernel.nash
     if not equilibria:
         return None
     equilibrium = pick(kernel.welfare[c] for c in equilibria)
@@ -337,12 +328,12 @@ def price_of_stability(game: Game) -> Fraction | None:
     None when the game has no pure Nash equilibrium or the ratio's
     denominator is not positive.
     """
-    return _price(game, max)
+    return _price(game, max, game._kernel.nash)
 
 
 def price_of_anarchy(game: Game) -> Fraction | None:
     """Optimum-to-worst-equilibrium social value ratio (>= 1), or None."""
-    return _price(game, min)
+    return _price(game, min, game._kernel.nash)
 
 
 def selfishness_function(game: Game, alphas: Iterable) -> list[tuple[Fraction, Fraction | None]]:
@@ -351,18 +342,17 @@ def selfishness_function(game: Game, alphas: Iterable) -> list[tuple[Fraction, F
     The selfishness level is the least share at which this function
     first equals 1.  Pairs are returned in input order.
 
-    No altruistic game is built: its equilibria at alpha = p/q are those
-    of ``q * v_i + p * W`` on the kernel, and its social value is
-    ``(1 + n * alpha)`` times the game's, a positive factor that cancels
-    in the price and keeps the price's sign tests.
+    No altruistic game is built: from the level on its best equilibrium
+    is an optimum; below it, its equilibria at alpha = p/q are those of
+    ``q * v_i + p * W``.  Its social value is ``(1 + n * alpha)`` times
+    the game's, a factor that cancels in the price and keeps its signs.
     """
+    alphas = list(map(parse_share, alphas))
     kernel = game._kernel
-    out = []
-    for raw in alphas:
-        alpha = parse_share(raw)
-        equilibria = kernel.equilibria(alpha.numerator, alpha.denominator) if alpha else None
-        out.append((alpha, _price(game, max, equilibria)))
-    return out
+    level = _level(kernel).level()
+    return [(alpha, _price(game, max, kernel.optima if level is not None and alpha >= level
+                           else kernel.equilibria(alpha.numerator, alpha.denominator)))
+            for alpha in alphas]
 
 
 # ---------------------------------------------------------------------------

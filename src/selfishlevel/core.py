@@ -333,19 +333,6 @@ class Game:
         cells = math.prod(widths[:n])
         return cls._from_store(orientation, labels, *_columns(labels, nodes, cells, ()))
 
-    @classmethod
-    def from_profile_map(cls, orientation: Orientation, strategy_labels, cells) -> "Game":
-        """Build a game from a mapping of index profiles to payoff vectors."""
-        labels = tuple(tuple(per_player) for per_player in strategy_labels)
-        counts = tuple(len(per_player) for per_player in labels)
-        flat = []
-        for profile in itertools.product(*(range(m) for m in counts)):
-            try:
-                flat.append(tuple(cells[profile]))
-            except KeyError:
-                raise DimensionMismatch(f"no payoff vector for profile {profile}") from None
-        return cls(orientation, labels, tuple(flat))
-
     # --- invariants ---------------------------------------------------------
 
     def validate(self) -> None:
@@ -478,8 +465,8 @@ class _Space:
     improving unilateral moves as (player, to_strategy, target cell,
     integer gain) in (player, strategy) order, and ``targets(cell)``,
     their target cells alone in the same order.  The optima, the stable
-    optima and the improvement graph's walk are derived here, once, on
-    first use; the last two read only the targets.
+    optima, their thresholds and the improvement graph's walk are derived
+    here, once, on first use; all but the thresholds read only the targets.
     """
 
     welfare: list[int]
@@ -500,6 +487,19 @@ class _Space:
         optimal = set(self.optima)
         return [c for c in self.optima
                 if optimal.isdisjoint(self.targets(c))]
+
+    def threshold(self, cell: int) -> tuple[int, int, tuple] | None:
+        """(gain, drop, move) of a stable optimum's steepest improving move
+        (each drop is positive), the first on ties, or None; found once."""
+        memo = vars(self).setdefault("_thresholds", {})
+        if cell not in memo:
+            steepest = None
+            for move in self.deviations(cell):
+                drop = self.welfare[cell] - self.welfare[move[2]]
+                if steepest is None or move[3] * steepest[1] > steepest[0] * drop:
+                    steepest = move[3], drop, move
+            memo[cell] = steepest
+        return memo[cell]
 
     @cached_property
     def improvement(self) -> tuple[list[int] | None, bool]:
@@ -618,9 +618,9 @@ class _Kernel(_Space):
                 return False
         return True
 
-    def equilibria(self, p: int = 0, q: int = 1, cells: Iterable[int] | None = None) -> list[int]:
-        """The cells of ``cells`` (default: all, ascending) that are pure Nash
-        equilibria of the altruistic game at share p/q (q > 0, p >= 0).
+    def equilibria(self, p: int = 0, q: int = 1) -> list[int]:
+        """The cells, ascending, that are pure Nash equilibria of the
+        altruistic game at share p/q (q > 0, p >= 0).
 
         Player i's value there is a positive multiple of
         ``q * values[i][c] + p * welfare[c]``, so comparing those integers
@@ -628,7 +628,7 @@ class _Kernel(_Space):
         Each axis segment's maximum is taken once, by its first cell.
         """
         welfare = self.welfare
-        cells = range(len(welfare)) if cells is None else cells
+        cells = range(len(welfare))
         for i, values in enumerate(self.values):
             if p:
                 values = [q * v + p * w for v, w in zip(values, welfare)]

@@ -25,7 +25,8 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Union
 
-from .core import DEFAULT_CELL_CAP, ONE, ZERO, Game, Orientation, check_cap, parse_rational
+from .core import (DEFAULT_CELL_CAP, ONE, ZERO, Game, Orientation, _check_size, check_cap,
+                   parse_rational)
 from .errors import InfeasibleParams, ParamOutOfRange
 
 
@@ -86,12 +87,8 @@ class PublicGoodsGrid:
                  "need grid_steps >= 1")
 
     def grid_values(self) -> tuple[Fraction, ...]:
-        values = []
-        for j in range(self.grid_steps + 1):
-            v = Fraction(j, self.grid_steps) * self.b
-            if v not in values:
-                values.append(v)
-        return tuple(values)
+        k = self.grid_steps
+        return tuple(dict.fromkeys(Fraction(j, k) * self.b for j in range(k + 1)))
 
 
 @dataclass(frozen=True)
@@ -236,11 +233,11 @@ class Congestion(_FacilitySubsets):
 # expansion to normal form
 # ---------------------------------------------------------------------------
 
-# An expansion maps a spec to (orientation, strategy labels, denominator,
-# cells): the cells are a lazy iterable, in row-major order, of integer
-# payoff vectors over the denominator, so ``generate`` can check the cap
-# from the labels before any cell is built, and fills the game's integer
-# store without a Fraction per cell.
+# An expansion maps a spec and the cap to (orientation, strategy labels,
+# denominator, cells): the cells are a lazy iterable, in row-major order, of
+# integer payoff vectors over the denominator, so ``generate`` can check the
+# cap from the labels before any cell is built (an n-player family checks it
+# first), and fills the game's integer store without a Fraction per cell.
 
 def _over(*values: Fraction) -> tuple[int, list[int]]:
     """(d, ints): the rationals ``values`` as integers over their least
@@ -251,7 +248,7 @@ def _over(*values: Fraction) -> tuple[int, list[int]]:
 
 def _fixed(labels, *cells, denominator: int = 1):
     """A two-player table with the same ``labels`` for both players."""
-    return lambda spec: (Orientation.PAYOFF_MAX, (labels, labels), denominator, cells)
+    return lambda spec, cap: (Orientation.PAYOFF_MAX, (labels, labels), denominator, cells)
 
 
 def _pd_n_pay(j: int, cooperators: int) -> int:
@@ -260,7 +257,9 @@ def _pd_n_pay(j: int, cooperators: int) -> int:
     return 2 * cooperators - 2 + 3 * j
 
 
-def _expand_pd_n(spec: PrisonersDilemmaN):
+def _expand_pd_n(spec: PrisonersDilemmaN, cap: int):
+    check_cap(itertools.repeat(2, spec.n), cap)
+
     def cell(profile):
         cooperators = profile.count(0)
         return tuple(_pd_n_pay(j, cooperators) for j in profile)
@@ -269,7 +268,7 @@ def _expand_pd_n(spec: PrisonersDilemmaN):
             map(cell, itertools.product(range(2), repeat=spec.n)))
 
 
-def _expand_generalized_pd(spec: GeneralizedPD):
+def _expand_generalized_pd(spec: GeneralizedPD, cap: int):
     x = spec.alpha / (spec.alpha + 1)
     d, (one, high, low) = _over(ONE, x + 1, 1 / spec.beta)
     cells = ((one, one), (0, high), (high, 0), (low, low))
@@ -298,7 +297,10 @@ def _public_goods_rows(spec: PublicGoodsGrid) -> tuple[int, list[list[int]]]:
     return step.denominator * scale, rows
 
 
-def _expand_public_goods(spec: PublicGoodsGrid):
+def _expand_public_goods(spec: PublicGoodsGrid, cap: int):
+    m = spec.grid_steps + 1 if spec.b else 1  # with b = 0, one cell but still n players
+    check_cap(itertools.repeat(m, spec.n if m > 1 else 0), cap)
+    _check_size((spec.n,), cap, "game", "players")
     d, rows = _public_goods_rows(spec)
 
     def cell(chosen):
@@ -306,7 +308,7 @@ def _expand_public_goods(spec: PublicGoodsGrid):
         return tuple(map(row.__getitem__, chosen))
 
     return (Orientation.PAYOFF_MAX, (_grid_labels(spec),) * spec.n, d,
-            map(cell, itertools.product(range(len(rows[0])), repeat=spec.n)))
+            map(cell, itertools.product(range(m), repeat=spec.n)))
 
 
 _CLAIMS = range(2, 101)  # the traveler's dilemma's strategies
@@ -322,7 +324,7 @@ def _travelers_pay(own: int, other: int) -> int:
     return other - 2
 
 
-def _expand_travelers(_: TravelersDilemma):
+def _expand_travelers(_: TravelersDilemma, cap: int):
     # rows[a][b]: the pay of the a-th claim against the b-th, so player 1's
     # column is the rows in turn and player 2's the columns in turn
     rows = [[_travelers_pay(own, other) for other in _CLAIMS] for own in _CLAIMS]
@@ -330,7 +332,8 @@ def _expand_travelers(_: TravelersDilemma):
             zip(itertools.chain.from_iterable(rows), itertools.chain.from_iterable(zip(*rows))))
 
 
-def _expand_f_level(spec: FLevelGame):
+def _expand_f_level(spec: FLevelGame, cap: int):
+    check_cap(itertools.repeat(2, spec.n), cap)
     d, (f, sucker) = _over(spec.f_value, -(spec.f_value + 1) / (spec.n - 1))
 
     def cell(profile):
@@ -358,7 +361,7 @@ def facility_usage(choice, counts=itertools.repeat(1)) -> dict[str, int]:
     return usage
 
 
-def _expand_facilities(spec: _FacilitySubsets):
+def _expand_facilities(spec: _FacilitySubsets, cap: int):
     d, cost = spec._cost_rule()
 
     def cell(choice):
@@ -403,12 +406,12 @@ def generate(spec: FamilySpec, cap: int = DEFAULT_CELL_CAP) -> Game:
     """Expand a family spec into a validated normal-form game.
 
     Raises ExplosionGuard when the joint-strategy space would exceed
-    ``cap`` cells; no cell is built before that check.
+    ``cap`` cells, before any cell or n-player label is built.
     """
     expand = _EXPANSIONS.get(type(spec))
     if expand is None:
         raise ParamOutOfRange(f"unknown family spec: {spec!r}")
-    orientation, labels, denominator, cells = expand(spec)
+    orientation, labels, denominator, cells = expand(spec, cap)
     check_cap(map(len, labels), cap)
     return Game._from_store(orientation, labels, denominator, tuple(zip(*cells)))
 
@@ -440,14 +443,22 @@ def _pd_n_form(spec: PrisonersDilemmaN) -> SymmetricForm:
     return SymmetricForm(spec.n, ("C", "D"), pd_pay)
 
 
-def _public_goods_form(spec: PublicGoodsGrid) -> SymmetricForm:
+def _public_goods_table(spec: PublicGoodsGrid) -> list[list[Fraction]]:
     d, rows = _public_goods_rows(spec)
-    table = [[Fraction(v, d) for v in row] for row in rows]
+    return [[Fraction(v, d) for v in row] for row in rows]
+
+
+def _public_goods_form(spec: PublicGoodsGrid) -> SymmetricForm:
+    # The table is built on the first call, after the orbit space is checked
+    # against the cap, and outside ``pg_pay``, which then keeps no cell variable.
+    table = None
     last_rest, last_steps = None, 0  # the orbit build asks every j against one rest in turn
 
     def pg_pay(j: int, rest: tuple[int, ...]) -> Fraction:
-        nonlocal last_rest, last_steps
+        nonlocal table, last_rest, last_steps
         if rest is not last_rest:
+            if table is None:
+                table = _public_goods_table(spec)
             last_rest, last_steps = rest, sum(map(operator.mul, range(len(rest)), rest))
         return table[j + last_steps][j]
 
@@ -516,10 +527,11 @@ def _tight_cost_sharing_singleton(c_max, c_min) -> CostSharing:
     )
 
 
-def _tight_cost_sharing_integer(L, c_max) -> CostSharing:
+def _tight_cost_sharing_integer(L, c_max, cap=DEFAULT_CELL_CAP) -> CostSharing:
     _require(isinstance(L, int) and L >= 1, "need an integer L >= 1")
     _require(isinstance(c_max, int) and c_max >= 1, "need an integer c_max >= 1")
     n = L + 1
+    _check_size((n,), cap, "game", "players")
     names = [f"e{i}" for i in range(1, n + 1)]
     costs = tuple((names[i], Fraction(c_max)) for i in range(L)) + ((names[L], ONE),)
     strategies = tuple(((names[i],),) for i in range(L)) + (
@@ -538,7 +550,7 @@ def _tight_congestion_singleton(delta, a) -> Congestion:
     return Congestion(facilities=facilities, strategies=(options, options))
 
 
-def _tight_congestion_integer(L, d_max, d_min) -> Congestion:
+def _tight_congestion_integer(L, d_max, d_min, cap=DEFAULT_CELL_CAP) -> Congestion:
     _require(isinstance(L, int) and L >= 1, "need an integer L >= 1")
     _require(isinstance(d_max, int) and d_max >= 1, "need an integer d_max >= 1")
     _require(isinstance(d_min, int) and d_min >= 1, "need an integer d_min >= 1")
@@ -551,6 +563,7 @@ def _tight_congestion_integer(L, d_max, d_min) -> Congestion:
     n = numerator // (2 * d_min)
     if n < 2:
         raise InfeasibleParams(f"derived player count n={n} is below 2")
+    _check_size((n,), cap, "game", "players")
     names = [f"e{i}" for i in range(1, L + 2)]
     facilities = tuple((names[i], ZERO, Fraction(d_max)) for i in range(L)) + (
         (names[L], Fraction(d_min), ZERO),
@@ -569,6 +582,7 @@ def tight_instance(family: TightFamily, **params) -> FamilySpec:
     congestion_singleton: delta in [0, 1), a > 0;
     congestion_integer: L, d_max, d_min (positive integers) such that
     (2n-1)*d_min = L*d_max + 1 for some feasible player count n.
+    The integer families list every player: past ``cap`` (default 10^7), ExplosionGuard.
     """
     family = TightFamily(family)
     builders = {
@@ -616,17 +630,19 @@ class Param:
 
 @dataclass(frozen=True)
 class Family:
-    """A family as the CLI names it: a spec constructor and its parameters."""
+    """A family as the CLI names it: a spec constructor, its parameters and
+    whether the constructor takes the cap, as those listing each player do."""
 
     build: Callable[..., object]
     params: tuple[Param, ...] = ()
+    _capped: bool = False
 
-    def spec(self, params: dict[str, Fraction]):
+    def spec(self, params: dict[str, Fraction], cap: int = DEFAULT_CELL_CAP):
         """The spec for parsed ``--param`` values.
 
         Raises ParamOutOfRange for keys the family does not take, then
         for a missing or non-integer parameter, then for whatever the
-        constructor rejects.
+        constructor rejects; ExplosionGuard before listing over ``cap`` players.
         """
         unknown = set(params).difference(p.key for p in self.params)
         if unknown:
@@ -639,7 +655,7 @@ class Family:
             if p.kind is int and value.denominator != 1:
                 raise ParamOutOfRange(f"parameter {p.key!r} must be an integer, got {value}")
             kwargs[p.keyword or p.key] = p.kind(value)
-        return self.build(**kwargs)
+        return self.build(**kwargs, **({"cap": cap} if self._capped else {}))
 
 
 #: The families ``generate`` (and ``closedform``) accept, by CLI name.
@@ -660,13 +676,13 @@ FAMILIES: dict[str, Family] = {
         (Param("c_max"), Param("c_min"))),
     "cost_sharing_integer_tight": Family(
         partial(tight_instance, TightFamily.COST_SHARING_INTEGER),
-        (Param("L", int), Param("c_max", int))),
+        (Param("L", int), Param("c_max", int)), _capped=True),
     "congestion_singleton_tight": Family(
         partial(tight_instance, TightFamily.CONGESTION_SINGLETON),
         (Param("delta"), Param("a"))),
     "congestion_integer_tight": Family(
         partial(tight_instance, TightFamily.CONGESTION_INTEGER),
-        (Param("L", int), Param("d_max", int), Param("d_min", int))),
+        (Param("L", int), Param("d_max", int), Param("d_min", int)), _capped=True),
     "cost_sharing_gap": Family(
         cost_sharing_gap_instance, (Param("c_max"), Param("c_min"), Param("gap"))),
 }

@@ -112,12 +112,11 @@ def _parse_players(obj) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
 
 
 def _parse_sparse(entries, orientation, labels) -> Game:
-    shape = tuple(len(per_player) for per_player in labels)
     label_maps = [
         {label: i for i, label in enumerate(per_player)} for per_player in labels
     ]
     n = len(labels)
-    cells: dict[Profile, tuple] = {}
+    cells: dict[int, list] = {}
     for entry in entries:
         if not isinstance(entry, dict) or "profile" not in entry or "values" not in entry:
             raise GameDocumentError(
@@ -126,28 +125,27 @@ def _parse_sparse(entries, orientation, labels) -> Game:
         raw_profile = entry["profile"]
         if not isinstance(raw_profile, list) or len(raw_profile) != n:
             raise GameDocumentError(f"profile {raw_profile!r} must list {n} labels")
-        profile = []
+        cell = 0
         for i, label in enumerate(raw_profile):
             # Labels are strings; an unhashable label cannot be looked up.
             if not isinstance(label, str) or label not in label_maps[i]:
                 raise GameDocumentError(
                     f"player {i + 1} has no strategy labelled {label!r}"
                 )
-            profile.append(label_maps[i][label])
-        profile = tuple(profile)
-        if profile in cells:
+            cell = cell * len(labels[i]) + label_maps[i][label]
+        if cell in cells:
             raise DuplicateProfile(f"profile {raw_profile!r} appears twice")
         values = entry["values"]
         if not isinstance(values, list) or len(values) != n:
             raise GameDocumentError(
                 f"profile {raw_profile!r} needs exactly {n} values"
             )
-        cells[profile] = tuple(values)
-    for profile in itertools.product(*(range(m) for m in shape)):
-        if profile not in cells:
-            readable = [labels[i][j] for i, j in enumerate(profile)]
-            raise MissingProfile(f"no payoffs for profile {readable}")
-    return Game.from_profile_map(orientation, labels, cells)
+        cells[cell] = values
+    if len(cells) < math.prod(map(len, labels)):  # some cell is empty: name the first
+        for cell, profile in enumerate(itertools.product(*labels)):
+            if cell not in cells:
+                raise MissingProfile(f"no payoffs for profile {list(profile)}")
+    return Game(orientation, labels, map(cells.__getitem__, range(len(cells))))
 
 
 def parse_game_document(text: str, cap: int | None = None) -> GameDocument:

@@ -32,7 +32,7 @@ from selfishlevel import (
     upper_contour,
 )
 from selfishlevel import GeneralizedPD, gamedoc, transforms
-from selfishlevel.core import _Orbits
+from selfishlevel.core import ZERO, _Kernel, _Orbits
 from selfishlevel.errors import (
     EmptyStrategySet,
     ExplosionGuard,
@@ -43,6 +43,7 @@ from selfishlevel.errors import (
     PlayerCountTooSmall,
 )
 
+from conftest import FAMILY_PARAMS, family_game
 from oracles import (
     naive_is_alpha_selfish,
     naive_is_nash,
@@ -478,27 +479,68 @@ class TestSelfishnessFunction:
             assert table[0][1] == 1
 
 
+def _naive_threshold(game: Game, s) -> Fraction:
+    """The largest appeal factor at stable optimum ``s``, 0 if none, by brute force."""
+    factors = [ZERO]
+    for i, m in enumerate(game.strategy_counts):
+        for alt in range(m):
+            t = s[:i] + (alt,) + s[i + 1:]
+            gain = game.payoff(t, i) - game.payoff(s, i)
+            drop = game.social_value(s) - game.social_value(t)
+            if game.orientation is Orientation.COST_MIN:
+                gain, drop = -gain, -drop
+            if gain > 0:
+                factors.append(gain / drop)
+    return max(factors)
+
+
+def _threshold_grid(game: Game) -> list[Fraction]:
+    """0, each distinct threshold, the midpoints between them, just below
+    the least positive one, and past the largest."""
+    thresholds = sorted({_naive_threshold(game, s) for s in naive_stable_social_optima(game)})
+    grid = {ZERO, *thresholds, *((a + b) / 2 for a, b in itertools.pairwise(thresholds))}
+    positive = [t for t in thresholds if t > 0]
+    if positive:
+        grid.add(positive[0] * Fraction(996, 997))
+    grid.add(2 * max(thresholds, default=ZERO) + 1)
+    return sorted(grid)
+
+
 def _probe_shares(game: Game) -> list[Fraction]:
     """Every level candidate, the midpoints between consecutive ones, twice
-    the largest, and one share with a large prime denominator."""
+    the largest, one share with a large prime denominator, and the
+    threshold grid."""
     candidates = naive_level_candidates(game)
     midpoints = [(a + b) / 2 for a, b in itertools.pairwise(candidates)]
-    return candidates + midpoints + [2 * candidates[-1], Fraction(1, 997)]
+    return sorted({*candidates, *midpoints, 2 * candidates[-1], Fraction(1, 997),
+                   *_threshold_grid(game)})
 
 
 class TestAltruismSharesOnBaseKernel:
     """Share queries answered on the game's own kernel equal the same
     queries on the materialised altruistic game."""
 
-    GAMES = [Game(orientation, game.strategy_labels, game.payoffs)
-             for game in CORPUS for orientation in Orientation] + COPRIME
+    GAMES = ([Game(orientation, game.strategy_labels, game.payoffs)
+              for game in CORPUS + random_game_corpus(seed=60321, size=200)
+              for orientation in Orientation]
+             + COPRIME + [family_game(name) for name in FAMILY_PARAMS])
 
     def test_selfishness_function_matches_transformed_game(self):
         for game in self.GAMES:
             assert selfishness_function(game, [0]) == [(0, price_of_stability(game))]
+            shares = _probe_shares(game)
+            expected = [(a, price_of_stability(altruistic(game, a))) for a in shares]
+            for pair in expected:
+                assert selfishness_function(game, [pair[0]]) == [pair]
+            assert selfishness_function(game, shares[::-1]) == expected[::-1]
+
+    def test_stabilizing_alpha_matches_transformed_game(self):
+        for game in self.GAMES:
+            stable = stable_social_optima(game)
             for alpha in _probe_shares(game):
-                expected = price_of_stability(altruistic(game, alpha))
-                assert selfishness_function(game, [alpha]) == [(alpha, expected)]
+                nash = set(pure_nash(altruistic(game, alpha)))
+                for s in stable:
+                    assert (s in nash) == (alpha >= stabilizing_alpha(game, s))
 
     def test_is_alpha_selfish_matches_transformed_game(self):
         for game in self.GAMES:
@@ -536,6 +578,62 @@ class TestAltruismSharesOnBaseKernel:
             is_alpha_selfish(fresh.game, 0.5)
         with pytest.raises(GameError):
             selfishness_function(fresh.game, [0.5])
+
+
+class TestThresholds:
+    """Each stable optimum's threshold, its largest appeal factor, answers
+    the share queries without an equilibrium pass from the level on."""
+
+    def test_stabilizing_alpha_is_the_largest_appeal_factor(self):
+        for game in TestAltruismSharesOnBaseKernel.GAMES:
+            for s in stable_social_optima(game):
+                factors = [appeal_factor(game, s, i, t).appeal_factor
+                           for i in range(game.player_count)
+                           for t in upper_contour(game, s, i).strategies]
+                assert stabilizing_alpha(game, s) == max(factors, default=ZERO)
+                assert stabilizing_alpha(game, s) == _naive_threshold(game, s)
+
+    def test_no_equilibrium_pass_at_or_above_the_level(self, monkeypatch):
+        calls = collections.Counter()
+        original = _Kernel.equilibria
+
+        def counted(self, p=0, q=1):
+            calls[p, q] += 1
+            return original(self, p, q)
+
+        monkeypatch.setattr(_Kernel, "equilibria", counted)
+        checked = 0
+        for game in TestAltruismSharesOnBaseKernel.GAMES:
+            level = selfishness_level(game).level()
+            fresh = Game(game.orientation, game.strategy_labels, game.payoffs)
+            grid = _threshold_grid(game)
+            for alpha in grid:
+                is_alpha_selfish(fresh, alpha)
+            assert not calls
+            if level is None:
+                continue
+            above = [a for a in grid if a >= level]
+            selfishness_function(fresh, above)
+            assert not calls
+            below = [a for a in grid if 0 < a < level]
+            selfishness_function(fresh, below)
+            assert sum(calls.values()) == len(below)
+            calls.clear()
+            checked += bool(below)
+        assert checked
+
+    def test_errors_come_before_kernel_work(self, pd):
+        fresh = Game(pd.orientation, pd.strategy_labels, pd.payoffs)
+        with pytest.raises(NegativeAlpha):
+            selfishness_function(fresh, [1, Fraction(-1, 2)])
+        with pytest.raises(NegativeAlpha):
+            is_alpha_selfish(fresh, -1)
+        assert "_kernel" not in vars(fresh)
+        for profile in ((0,), (0, 0, 0), (2, 0), (0, -1), (1, 1)):
+            with pytest.raises(NotStableOptimum):
+                stabilizing_alpha(pd, profile)
+            with pytest.raises(NotStableOptimum):
+                appeal_factor(pd, profile, 0, 1)
 
 
 def _expand_symmetric(n, m, payoff, orientation=Orientation.PAYOFF_MAX) -> Game:
@@ -666,6 +764,12 @@ class TestOrbitSpace:
                 optima, stable = set(kernel.optima), set(kernel.stable)
                 assert orbits.optima == [k for k, c in enumerate(dense) if c in optima]
                 assert orbits.stable == [k for k, c in enumerate(dense) if c in stable]
+                for k in orbits.stable:  # the same steepest gain / drop
+                    orbit, cell = orbits.threshold(k), kernel.threshold(dense[k])
+                    assert (orbit is None) == (cell is None)
+                    if orbit is not None:
+                        assert Fraction(orbit[0], orbit[1]) == Fraction(cell[0], cell[1])
+                        seen["thresholds"] += 1
                 for k, c in enumerate(dense):
                     counts = orbits.counts(k)
                     assert counts == tuple(map(cells[k].count, range(m)))
@@ -688,5 +792,5 @@ class TestOrbitSpace:
                 assert weakly_acyclic == kernel.improvement[1]
                 seen["fip" if order is not None else "cycle"] += 1
                 seen["several optima"] += len(optima) > 1
-        assert seen["moves"] and seen["several optima"], seen
+        assert seen["moves"] and seen["several optima"] and seen["thresholds"], seen
         assert seen["fip"] and seen["cycle"], seen

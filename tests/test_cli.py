@@ -1,5 +1,7 @@
 """CLI: pipelines, reports, exit codes."""
 
+import contextlib
+import copy
 import io
 import json
 import re
@@ -9,8 +11,9 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from selfishlevel import cli as cli_module, closedform, families
+from selfishlevel import cli as cli_module, closedform, families, gamedoc
 from selfishlevel.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -436,3 +439,130 @@ def test_parser_is_built_once_and_calls_stay_independent(cli, capsys, monkeypatc
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: selfishlevel")
     assert cli(["generate", "pd_n", "--param", "n=3"])[:2] == (0, pd3)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input ends in exit 0, 2 or 3
+# ---------------------------------------------------------------------------
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=400,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def _as_sparse(doc: dict) -> dict:
+    game = gamedoc.parse_game(json.dumps(doc))
+    labels = game.strategy_labels
+    return {**doc, "payoffs": [
+        {"profile": [labels[i][j] for i, j in enumerate(profile)], "values": list(map(str, values))}
+        for profile, values in zip(game.joint_strategies(), game.payoffs)]}
+
+
+DOCUMENTS = [json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))]
+DOCUMENTS += list(map(_as_sparse, DOCUMENTS))  # each fixture in the other payoff form too
+ODD_VALUES = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from([10**9, -10**9, 10**30, 2.5, float("nan"), None, True, [], {}, [[]]]),
+    st.sampled_from(["1/2", "-7/3", "1/0", "x", "", "1.5", "0", "10/4", "F", "B"]),
+)
+SHARES = st.sampled_from(["0", "1/3", "1/2", "1", "3", "1000000000", "-1", "x", "1/0", "2.5"])
+PARAM_VALUES = st.one_of(
+    st.integers(1, 5).map(str),
+    st.sampled_from(["1/2", "3/2", "5/2"]),
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["1000000000", "999999999", "100000", "1/2", "-7/3", "3/2", "x", "",
+                     "1/0", "1.5", "2e3", "0", "-1000000000"]),
+)
+CAPS = st.integers(-1, 4096).map(str)
+
+
+def _positions(node):
+    """Every (container, key) of a JSON tree, each container before its children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in list(items):
+        yield node, key
+        yield from _positions(child)
+
+
+@st.composite
+def mutated_documents(draw) -> str:
+    """A fixture document with up to three values replaced, deleted or
+    duplicated, sometimes cut short.  Each value is drawn from all of the
+    document's positions, or, half of the time, from those of lists and
+    objects alone."""
+    doc = copy.deepcopy(draw(st.sampled_from(DOCUMENTS)))
+    for _ in range(draw(st.integers(0, 3))):
+        positions = list(_positions(doc))
+        if draw(st.booleans()):
+            positions = [(p, k) for p, k in positions if isinstance(p[k], (dict, list))]
+        if not positions:
+            break
+        parent, key = draw(st.sampled_from(positions))
+        action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if action == "replace":
+            parent[key] = copy.deepcopy(draw(ODD_VALUES))
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+    text = json.dumps(doc)
+    return text[:draw(st.integers(0, len(text)))] if draw(st.sampled_from(range(10))) == 9 else text
+
+
+@st.composite
+def document_commands(draw) -> list[str]:
+    command = draw(st.sampled_from(["level", "analyze", "dynamics", "sweep", "transform"]))
+    if command == "transform":  # transform reads no cap
+        argv = [command, "--alpha", draw(SHARES), "--model", draw(st.sampled_from("ABCD"))]
+        for option in ("--scale", "--shift"):
+            if draw(st.sampled_from(range(4))) == 3:
+                argv += [option, draw(SHARES)]
+        return argv + (["--inverse"] if draw(st.sampled_from(range(4))) == 3 else [])
+    argv = [command, "--cap", draw(CAPS)]
+    if command == "sweep":
+        argv += ["--alphas", ",".join(draw(st.lists(SHARES, min_size=1, max_size=3)))]
+    return argv
+
+
+@st.composite
+def family_commands(draw) -> list[str]:
+    command = draw(st.sampled_from(["generate", "closedform"]))
+    table = families.FAMILIES if command == "generate" else cli_module._CLOSED_FORM_FAMILIES
+    name = draw(st.sampled_from(sorted(table)))
+    pairs = [f"{p.key}={draw(PARAM_VALUES)}" for p in table[name].params
+             if draw(st.sampled_from(range(10))) != 9]
+    if draw(st.sampled_from(range(10))) == 9:
+        pairs.append(draw(st.sampled_from(["zz=1", "n", "=3", pairs[0] if pairs else "k="])))
+    return [command, name] + (["--param", *pairs] if pairs else []) + ["--cap", draw(CAPS)]
+
+
+def _fuzz_main(argv, stdin_text=""):
+    """Run ``main`` on one input: exit 0, 2 or 3, and a one-line error on
+    failure; argparse's usage exit is the only exception let through."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as e:
+        assert e.code == 2, (argv, err.getvalue())
+        return
+    finally:
+        sys.stdin = saved
+    assert code in (0, 2, 3), (argv, code)
+    if code:
+        assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), (argv, err.getvalue())
+    else:
+        assert out.getvalue() and not err.getvalue(), argv
+
+
+@FUZZ
+@given(document_commands(), mutated_documents())
+def test_fuzz_document_commands(argv, document):
+    _fuzz_main(argv, document)
+
+
+@FUZZ
+@given(family_commands())
+def test_fuzz_family_params(argv):
+    _fuzz_main(argv)

@@ -28,6 +28,7 @@ from selfishlevel import dynamics, families, gamedoc
 from selfishlevel.core import _Kernel
 from selfishlevel.errors import ExplosionGuard
 
+from conftest import FAMILY_PARAMS, family_game
 from oracles import naive_pure_nash, random_game_corpus
 
 CORPUS = random_game_corpus(seed=777, size=40)
@@ -162,31 +163,6 @@ class TestPotentialGamesHaveFiniteLevel:
         assert hits >= 10
 
 
-# One instance of every registered family, all under the default cap.
-FAMILY_PARAMS = {
-    "pd_n": {"n": 3},
-    "generalized_pd": {"alpha": Fraction(1, 2), "beta": 2},
-    "public_goods": {"n": 4, "b": 1, "c": 2, "k": 2},
-    "travelers": {},
-    "matching_pennies": {},
-    "battle_of_sexes": {},
-    "bad_nash_3x3": {},
-    "no_nash_2x2": {},
-    "weakly_acyclic_3x3": {},
-    "f_level": {"n": 2, "f": 7},
-    "cost_sharing_singleton_tight": {"c_max": 10, "c_min": 1},
-    "cost_sharing_integer_tight": {"L": 3, "c_max": 2},
-    "congestion_singleton_tight": {"delta": Fraction(1, 2), "a": 1},
-    "congestion_integer_tight": {"L": 2, "d_max": 3, "d_min": 1},
-    "cost_sharing_gap": {"c_max": 10, "c_min": 1, "gap": 1},
-}
-
-
-def _family_game(name):
-    params = {key: Fraction(value) for key, value in FAMILY_PARAMS[name].items()}
-    return generate(families.FAMILIES[name].spec(params))
-
-
 def _reference_walk(graph):
     """(acyclic, every node reaches a sink) of the profile-keyed graph, by a
     depth-first cycle search and a forward search to a sink from each node."""
@@ -287,7 +263,7 @@ def _dynamics_games():
     """Every game the walk and the potential check are compared on."""
     games = [Game(orientation, table.strategy_labels, table.payoffs)
              for table in CORPUS for orientation in Orientation]
-    games += [_family_game(name) for name in families.FAMILIES]
+    games += [family_game(name) for name in families.FAMILIES]
     rng = random.Random(1996)
     games += [generate(_random_facility_spec(rng)) for _ in range(40)]
     return games + [_doubled_battle_of_sexes()]
@@ -315,14 +291,14 @@ class TestIntegerWalk:
         assert list(FAMILY_PARAMS) == list(families.FAMILIES)
 
     def test_pinned_certificate_pd_n(self):
-        potential = ordinal_potential_certificate(_family_game("pd_n"))
+        potential = ordinal_potential_certificate(family_game("pd_n"))
         assert list(potential.items()) == [
             ((0, 0, 0), 0), ((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 3),
             ((1, 1, 0), 4), ((1, 0, 1), 5), ((0, 1, 1), 6), ((1, 1, 1), 7),
         ]
 
     def test_pinned_certificate_cost_game(self):
-        game = _family_game("congestion_integer_tight")
+        game = family_game("congestion_integer_tight")
         assert game.orientation is Orientation.COST_MIN
         potential = ordinal_potential_certificate(game)
         assert list(potential.items()) == [((0, 0, 0, 0), 0), ((0, 0, 0, 1), 1)]
@@ -352,7 +328,7 @@ class TestIntegerWalk:
             return targets(self, cell)
 
         monkeypatch.setattr(_Kernel, "targets", counting)
-        game = _family_game("weakly_acyclic_3x3")
+        game = family_game("weakly_acyclic_3x3")
         assert not has_fip(game)
         walked = len(calls)
         assert walked == game.cell_count
@@ -422,7 +398,7 @@ class TestExactPotential:
     ])
     def test_potential_games_are_not_walked(self, monkeypatch, name, ranks):
         calls = self._count_walks(monkeypatch)
-        game = _family_game(name)
+        game = family_game(name)
         assert has_fip(game) and is_weakly_acyclic(game)
         report = gamedoc.dynamics_report(gamedoc.GameDocument.from_game(game),
                                          families.DEFAULT_CELL_CAP)

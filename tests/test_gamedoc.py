@@ -1,6 +1,7 @@
 """Game-document parsing, rendering, and report structure."""
 
 import io
+import itertools
 import json
 import math
 import random
@@ -71,14 +72,41 @@ class TestParsing:
     def test_missing_profile(self):
         obj = json.loads(fixture_text("battle_of_sexes_sparse.json"))
         obj["payoffs"] = obj["payoffs"][:-1]
-        with pytest.raises(MissingProfile):
+        with pytest.raises(MissingProfile) as raised:
             parse_game(json.dumps(obj))
+        assert str(raised.value) == "no payoffs for profile ['B', 'B']"
+
+    @pytest.mark.parametrize("kept,missing", [
+        (slice(1, None), "['F', 'F']"),
+        (slice(2, None), "['F', 'F']"),  # the first of several, in lexicographic order
+        (slice(None, None, 3), "['F', 'B']"),
+    ])
+    def test_missing_profile_names_the_first_empty_cell(self, kept, missing):
+        obj = json.loads(fixture_text("battle_of_sexes_sparse.json"))
+        obj["payoffs"] = obj["payoffs"][kept][::-1]
+        with pytest.raises(MissingProfile) as raised:
+            parse_game(json.dumps(obj))
+        assert str(raised.value) == f"no payoffs for profile {missing}"
+
+    def test_missing_profile_of_three_players(self):
+        labels = [["a", "b"], ["x", "y", "z"], ["p", "q"]]
+        entries = [{"profile": [i, j, k], "values": [1, 2, 3]}
+                   for i, j, k in itertools.product(*labels) if (i, j, k) != ("b", "y", "p")]
+        document = {"orientation": "cost", "payoffs": entries,
+                    "players": [{"name": f"p{n}", "strategies": s} for n, s in enumerate(labels)]}
+        with pytest.raises(MissingProfile) as raised:
+            parse_game(json.dumps(document))
+        assert str(raised.value) == "no payoffs for profile ['b', 'y', 'p']"
+        entries.append({"profile": ["b", "y", "p"], "values": [1, 2, 3]})
+        game = parse_game(json.dumps(document))
+        assert game.payoffs == ((1, 2, 3),) * 12
 
     def test_duplicate_profile(self):
         obj = json.loads(fixture_text("battle_of_sexes_sparse.json"))
-        obj["payoffs"].append(obj["payoffs"][0])
-        with pytest.raises(DuplicateProfile):
+        obj["payoffs"].append(obj["payoffs"][1])
+        with pytest.raises(DuplicateProfile) as raised:
             parse_game(json.dumps(obj))
+        assert str(raised.value) == "profile ['F', 'B'] appears twice"
 
     def test_zero_denominator(self):
         obj = json.loads(fixture_text("generalized_dilemma_rational.json"))
