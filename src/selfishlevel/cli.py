@@ -106,7 +106,7 @@ def cmd_transform(args) -> int:
 
 def cmd_generate(args) -> int:
     params = _parse_params(args.param)
-    spec = families.named(args.family).spec(params, args.cap)
+    spec = families.named(args.family).spec(params)
     game = families.generate(spec, cap=args.cap)
     sys.stdout.write(gamedoc.render_game_document(gamedoc.GameDocument.from_game(game)))
     return 0
@@ -133,7 +133,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_closedform(args) -> int:
     params = _parse_params(args.param)
-    spec = families.named(args.family, _CLOSED_FORM_FAMILIES).spec(params, args.cap)
+    spec = families.named(args.family, _CLOSED_FORM_FAMILIES).spec(params)
     result = closedform.closed_form_level(spec, cap=args.cap)
     body = {
         "family": args.family,

@@ -488,10 +488,14 @@ class _Space:
         return [c for c in self.optima
                 if optimal.isdisjoint(self.targets(c))]
 
+    @cached_property
+    def _thresholds(self) -> dict[int, tuple[int, int, tuple] | None]:
+        return {}
+
     def threshold(self, cell: int) -> tuple[int, int, tuple] | None:
         """(gain, drop, move) of a stable optimum's steepest improving move
         (each drop is positive), the first on ties, or None; found once."""
-        memo = vars(self).setdefault("_thresholds", {})
+        memo = self._thresholds
         if cell not in memo:
             steepest = None
             for move in self.deviations(cell):

@@ -25,8 +25,7 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Union
 
-from .core import (DEFAULT_CELL_CAP, ONE, ZERO, Game, Orientation, _check_size, check_cap,
-                   parse_rational)
+from .core import DEFAULT_CELL_CAP, ONE, ZERO, Game, Orientation, check_cap, parse_rational
 from .errors import InfeasibleParams, ParamOutOfRange
 
 
@@ -298,9 +297,7 @@ def _public_goods_rows(spec: PublicGoodsGrid) -> tuple[int, list[list[int]]]:
 
 
 def _expand_public_goods(spec: PublicGoodsGrid, cap: int):
-    m = spec.grid_steps + 1 if spec.b else 1  # with b = 0, one cell but still n players
-    check_cap(itertools.repeat(m, spec.n if m > 1 else 0), cap)
-    _check_size((spec.n,), cap, "game", "players")
+    check_cap(itertools.repeat(spec.grid_steps + 1, spec.n if spec.b else 0), cap)  # b=0: 1 cell
     d, rows = _public_goods_rows(spec)
 
     def cell(chosen):
@@ -308,7 +305,7 @@ def _expand_public_goods(spec: PublicGoodsGrid, cap: int):
         return tuple(map(row.__getitem__, chosen))
 
     return (Orientation.PAYOFF_MAX, (_grid_labels(spec),) * spec.n, d,
-            map(cell, itertools.product(range(m), repeat=spec.n)))
+            map(cell, itertools.product(range(len(rows[0])), repeat=spec.n)))
 
 
 _CLAIMS = range(2, 101)  # the traveler's dilemma's strategies
@@ -443,22 +440,21 @@ def _pd_n_form(spec: PrisonersDilemmaN) -> SymmetricForm:
     return SymmetricForm(spec.n, ("C", "D"), pd_pay)
 
 
+# Kept out of pg_pay, where a comprehension would make ``d`` a cell made on every call.
 def _public_goods_table(spec: PublicGoodsGrid) -> list[list[Fraction]]:
     d, rows = _public_goods_rows(spec)
     return [[Fraction(v, d) for v in row] for row in rows]
 
 
 def _public_goods_form(spec: PublicGoodsGrid) -> SymmetricForm:
-    # The table is built on the first call, after the orbit space is checked
-    # against the cap, and outside ``pg_pay``, which then keeps no cell variable.
-    table = None
+    table = []  # filled on the first call, after the orbit space is checked against the cap
     last_rest, last_steps = None, 0  # the orbit build asks every j against one rest in turn
 
     def pg_pay(j: int, rest: tuple[int, ...]) -> Fraction:
-        nonlocal table, last_rest, last_steps
+        nonlocal last_rest, last_steps
         if rest is not last_rest:
-            if table is None:
-                table = _public_goods_table(spec)
+            if not table:
+                table.extend(_public_goods_table(spec))
             last_rest, last_steps = rest, sum(map(operator.mul, range(len(rest)), rest))
         return table[j + last_steps][j]
 
@@ -527,11 +523,10 @@ def _tight_cost_sharing_singleton(c_max, c_min) -> CostSharing:
     )
 
 
-def _tight_cost_sharing_integer(L, c_max, cap=DEFAULT_CELL_CAP) -> CostSharing:
+def _tight_cost_sharing_integer(L, c_max) -> CostSharing:
     _require(isinstance(L, int) and L >= 1, "need an integer L >= 1")
     _require(isinstance(c_max, int) and c_max >= 1, "need an integer c_max >= 1")
     n = L + 1
-    _check_size((n,), cap, "game", "players")
     names = [f"e{i}" for i in range(1, n + 1)]
     costs = tuple((names[i], Fraction(c_max)) for i in range(L)) + ((names[L], ONE),)
     strategies = tuple(((names[i],),) for i in range(L)) + (
@@ -550,7 +545,7 @@ def _tight_congestion_singleton(delta, a) -> Congestion:
     return Congestion(facilities=facilities, strategies=(options, options))
 
 
-def _tight_congestion_integer(L, d_max, d_min, cap=DEFAULT_CELL_CAP) -> Congestion:
+def _tight_congestion_integer(L, d_max, d_min) -> Congestion:
     _require(isinstance(L, int) and L >= 1, "need an integer L >= 1")
     _require(isinstance(d_max, int) and d_max >= 1, "need an integer d_max >= 1")
     _require(isinstance(d_min, int) and d_min >= 1, "need an integer d_min >= 1")
@@ -563,7 +558,6 @@ def _tight_congestion_integer(L, d_max, d_min, cap=DEFAULT_CELL_CAP) -> Congesti
     n = numerator // (2 * d_min)
     if n < 2:
         raise InfeasibleParams(f"derived player count n={n} is below 2")
-    _check_size((n,), cap, "game", "players")
     names = [f"e{i}" for i in range(1, L + 2)]
     facilities = tuple((names[i], ZERO, Fraction(d_max)) for i in range(L)) + (
         (names[L], Fraction(d_min), ZERO),
@@ -582,7 +576,6 @@ def tight_instance(family: TightFamily, **params) -> FamilySpec:
     congestion_singleton: delta in [0, 1), a > 0;
     congestion_integer: L, d_max, d_min (positive integers) such that
     (2n-1)*d_min = L*d_max + 1 for some feasible player count n.
-    The integer families list every player: past ``cap`` (default 10^7), ExplosionGuard.
     """
     family = TightFamily(family)
     builders = {
@@ -630,19 +623,17 @@ class Param:
 
 @dataclass(frozen=True)
 class Family:
-    """A family as the CLI names it: a spec constructor, its parameters and
-    whether the constructor takes the cap, as those listing each player do."""
+    """A family as the CLI names it: a spec constructor and its parameters."""
 
     build: Callable[..., object]
     params: tuple[Param, ...] = ()
-    _capped: bool = False
 
-    def spec(self, params: dict[str, Fraction], cap: int = DEFAULT_CELL_CAP):
+    def spec(self, params: dict[str, Fraction]):
         """The spec for parsed ``--param`` values.
 
         Raises ParamOutOfRange for keys the family does not take, then
         for a missing or non-integer parameter, then for whatever the
-        constructor rejects; ExplosionGuard before listing over ``cap`` players.
+        constructor rejects.
         """
         unknown = set(params).difference(p.key for p in self.params)
         if unknown:
@@ -655,7 +646,7 @@ class Family:
             if p.kind is int and value.denominator != 1:
                 raise ParamOutOfRange(f"parameter {p.key!r} must be an integer, got {value}")
             kwargs[p.keyword or p.key] = p.kind(value)
-        return self.build(**kwargs, **({"cap": cap} if self._capped else {}))
+        return self.build(**kwargs)
 
 
 #: The families ``generate`` (and ``closedform``) accept, by CLI name.
@@ -676,13 +667,13 @@ FAMILIES: dict[str, Family] = {
         (Param("c_max"), Param("c_min"))),
     "cost_sharing_integer_tight": Family(
         partial(tight_instance, TightFamily.COST_SHARING_INTEGER),
-        (Param("L", int), Param("c_max", int)), _capped=True),
+        (Param("L", int), Param("c_max", int))),
     "congestion_singleton_tight": Family(
         partial(tight_instance, TightFamily.CONGESTION_SINGLETON),
         (Param("delta"), Param("a"))),
     "congestion_integer_tight": Family(
         partial(tight_instance, TightFamily.CONGESTION_INTEGER),
-        (Param("L", int), Param("d_max", int), Param("d_min", int)), _capped=True),
+        (Param("L", int), Param("d_max", int), Param("d_min", int))),
     "cost_sharing_gap": Family(
         cost_sharing_gap_instance, (Param("c_max"), Param("c_min"), Param("gap"))),
 }

@@ -473,6 +473,11 @@ PARAM_VALUES = st.one_of(
                      "1/0", "1.5", "2e3", "0", "-1000000000"]),
 )
 CAPS = st.integers(-1, 4096).map(str)
+# Specs that list every player are built before any cap check (ROADMAP item 1):
+# the integer tight instances, whose player counts grow with these parameters,
+# and a public-goods game with b = 0, whose n players share one cell.
+PLAYER_PARAMS = {"cost_sharing_integer_tight": {"L"}, "congestion_integer_tight": {"L", "d_max"}}
+SMALL_VALUES = st.integers(-3, 12).map(str)
 
 
 def _positions(node):
@@ -528,8 +533,11 @@ def family_commands(draw) -> list[str]:
     command = draw(st.sampled_from(["generate", "closedform"]))
     table = families.FAMILIES if command == "generate" else cli_module._CLOSED_FORM_FAMILIES
     name = draw(st.sampled_from(sorted(table)))
-    pairs = [f"{p.key}={draw(PARAM_VALUES)}" for p in table[name].params
-             if draw(st.sampled_from(range(10))) != 9]
+    values = {p.key: draw(SMALL_VALUES if p.key in PLAYER_PARAMS.get(name, ()) else PARAM_VALUES)
+              for p in table[name].params if draw(st.sampled_from(range(10))) != 9}
+    if name == "public_goods" and values.get("b") == "0" and "n" in values:
+        values["n"] = draw(SMALL_VALUES)
+    pairs = [f"{key}={value}" for key, value in values.items()]
     if draw(st.sampled_from(range(10))) == 9:
         pairs.append(draw(st.sampled_from(["zz=1", "n", "=3", pairs[0] if pairs else "k="])))
     return [command, name] + (["--param", *pairs] if pairs else []) + ["--cap", draw(CAPS)]
