@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -130,15 +130,12 @@ def _scaled(values) -> tuple[int, list[int]]:
     Each distinct raw value goes through ``parse_rational`` once, in
     order of first appearance, so the first bad value raises, as it would
     if every value were parsed in turn.  A sequence holding Fractions is
-    deduplicated by object identity instead: hashing a Fraction costs
-    more than parsing it, and the family callbacks hand back shared
-    Fraction objects.
+    read value by value instead: they need no parsing, and hashing one
+    costs more than that.
     """
     types = set(map(type, values))
     if Fraction in types:
-        distinct = dict(zip(map(id, values), values))
-        keys = map(id, values)  # read once, to spread; a list of ids costs an int each
-        raws = distinct.values()
+        raws = values
     else:
         # No int equals a str, so those are their own keys; any other type
         # is keyed with its value, so that True is not taken for 1.
@@ -190,6 +187,16 @@ def _orbit_counts(n: int, m: int) -> Iterator[int]:
     for k in range(1, m):
         size = size * (n + k) // k
         yield size
+
+
+def _count_vectors(total: int, m: int) -> list[tuple[int, ...]]:
+    """The per-strategy counts of ``total`` players on m strategies, one per
+    sorted profile, in the profiles' lexicographic order."""
+    if m <= 2:
+        return [(c, total - c) for c in range(total, -1, -1)] if m == 2 else [(total,)]
+    a = (m - 1) // 2  # a head over a + 1 gives the first a counts, and its last the tail's total
+    tails = [_count_vectors(t, m - a) for t in range(total + 1)]
+    return [head[:a] + tail for head in _count_vectors(total, a + 1) for tail in tails[head[a]]]
 
 
 def _check_shape(labels, cells: int, widths: Iterable[int]) -> None:
@@ -655,6 +662,17 @@ class _Kernel(_Space):
         return self.equilibria()
 
 
+class _Rule(NamedTuple):
+    """A compact symmetric payoff as an integer rule: ``row(rest)``, the m values over
+    ``denominator`` against the others' counts; called, the exact ``payoff(j, rest)``."""
+
+    denominator: int
+    row: Callable[[tuple[int, ...]], list[int]]
+
+    def __call__(self, j: int, rest: tuple[int, ...]) -> Fraction:
+        return Fraction(self.row(rest)[j], self.denominator)
+
+
 class _Orbits(_Space):
     """A symmetric game given compactly, one cell per player-permutation orbit.
 
@@ -675,12 +693,12 @@ class _Orbits(_Space):
     cell order: ``codes[cell]`` is the cell's code and ``index`` maps it
     back.  A cell's counts and profile are decoded from its code on demand.
 
-    Each ``(j, rest)`` is evaluated once, in that order of the others'
-    profiles, and scaled to integers as a game's table is, then negated
-    for cost games: ``rows[r][j]`` is the value of strategy j against the
-    others' code r.  The welfare vector is summed in one pass over those
-    keys: the value of j against r is earned by each of the ``r_j + 1``
-    players on j in orbit ``r + powers[j]``.
+    A ``_Rule`` gives each rest's integer row in one call; any other payoff
+    is called once per ``(j, rest)``, in that order of the others' profiles,
+    and scaled as a game's table is.  Negated for cost games, ``rows[r][j]``
+    is the value of strategy j against the others' code r.  The welfare
+    vector is summed in one pass over those keys: the value of j against r
+    is earned by each of the ``r_j + 1`` players on j in orbit ``r + powers[j]``.
 
     The orbit count, C(n + m - 1, n), is checked against ``cap`` before
     anything is enumerated or evaluated.
@@ -694,25 +712,25 @@ class _Orbits(_Space):
         self.codes = list(map(sum, itertools.combinations_with_replacement(powers, n)))
         self.index = index = dict(zip(self.codes, itertools.count()))
         rests = list(map(sum, itertools.combinations_with_replacement(powers, n - 1)))
-        rest_counts = list(map(self._decode, rests))
-        self.denominator, values = _scaled([payoff(j, counts) for counts in rest_counts
-                                            for j in range(m)])
+        rest_counts = _count_vectors(n - 1, m)
+        if isinstance(payoff, _Rule):
+            self.denominator, rows = payoff.denominator, list(map(payoff.row, rest_counts))
+        else:
+            self.denominator, values = _scaled([payoff(j, counts) for counts in rest_counts
+                                                for j in range(m)])
+            rows = [values[k:k + m] for k in range(0, len(values), m)]
         if orientation is Orientation.COST_MIN:
-            values = [-v for v in values]
-        rows = [values[k:k + m] for k in range(0, len(values), m)]
+            rows = [[-v for v in row] for row in rows]
         self.rows = dict(zip(rests, rows))
         self.welfare = welfare = [0] * len(self.codes)
         for rest, counts, row in zip(rests, rest_counts, rows):
             for power, others_on_j, value in zip(powers, counts, row):
                 welfare[index[rest + power]] += (others_on_j + 1) * value
 
-    def _decode(self, code: int) -> tuple[int, ...]:
-        base = self.base
-        return tuple(code // power % base for power in self.powers)
-
     def counts(self, cell: int) -> tuple[int, ...]:
         """The number of players on each strategy at ``cell``."""
-        return self._decode(self.codes[cell])
+        base, code = self.base, self.codes[cell]
+        return tuple(code // power % base for power in self.powers)
 
     def profile(self, cell: int) -> Profile:
         return tuple(itertools.chain.from_iterable(map(itertools.repeat, itertools.count(),

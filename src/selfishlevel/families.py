@@ -22,10 +22,10 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from typing import Callable, Union
 
-from .core import DEFAULT_CELL_CAP, ONE, ZERO, Game, Orientation, check_cap, parse_rational
+from .core import DEFAULT_CELL_CAP, ONE, ZERO, Game, Orientation, _Rule, check_cap, parse_rational
 from .errors import InfeasibleParams, ParamOutOfRange
 
 
@@ -141,8 +141,8 @@ def _normalize_subsets(strategies, known) -> tuple[tuple[tuple[str, ...], ...], 
         _require(len(normalized) >= 1, "each player needs at least one strategy")
         for subset in normalized:
             _require(len(subset) >= 1, "facility subsets must be non-empty")
-            _require(len(set(subset)) == len(subset),
-                     f"facility repeated within a strategy: {subset}")
+            if len(set(subset)) != len(subset):
+                raise ParamOutOfRange(f"facility repeated within a strategy: {subset}")
         _require(len(set(normalized)) == len(normalized),
                  "duplicate strategy subsets for one player")
         per_player.append(normalized)
@@ -150,7 +150,8 @@ def _normalize_subsets(strategies, known) -> tuple[tuple[tuple[str, ...], ...], 
     for options in per_player:
         for subset in options:
             for name in subset:
-                _require(name in known, f"unknown facility {name!r}")
+                if name not in known:
+                    raise ParamOutOfRange(f"unknown facility {name!r}")
     return tuple(per_player)
 
 
@@ -434,40 +435,34 @@ class SymmetricForm:
 
 
 def _pd_n_form(spec: PrisonersDilemmaN) -> SymmetricForm:
-    def pd_pay(j: int, rest: tuple[int, ...]) -> Fraction:
-        return Fraction(_pd_n_pay(j, rest[0] + (j == 0)))
-
-    return SymmetricForm(spec.n, ("C", "D"), pd_pay)
-
-
-# Kept out of pg_pay, where a comprehension would make ``d`` a cell made on every call.
-def _public_goods_table(spec: PublicGoodsGrid) -> list[list[Fraction]]:
-    d, rows = _public_goods_rows(spec)
-    return [[Fraction(v, d) for v in row] for row in rows]
+    return SymmetricForm(spec.n, ("C", "D"),
+                         _Rule(1, lambda rest: [_pd_n_pay(0, rest[0] + 1), _pd_n_pay(1, rest[0])]))
 
 
 def _public_goods_form(spec: PublicGoodsGrid) -> SymmetricForm:
-    table = []  # filled on the first call, after the orbit space is checked against the cap
-    last_rest, last_steps = None, 0  # the orbit build asks every j against one rest in turn
+    by_steps = []  # filled on the first call, after the orbit space is checked against the cap
 
-    def pg_pay(j: int, rest: tuple[int, ...]) -> Fraction:
-        nonlocal last_rest, last_steps
-        if rest is not last_rest:
-            if not table:
-                table.extend(_public_goods_table(spec))
-            last_rest, last_steps = rest, sum(map(operator.mul, range(len(rest)), rest))
-        return table[j + last_steps][j]
+    def pg_row(rest: tuple[int, ...]) -> list[int]:
+        if not by_steps:  # rows[t][j] is earned on j when all steps, j's too, total t
+            rows = _public_goods_rows(spec)[1]
+            by_steps.extend([rows[steps + j][j] for j in range(len(rest))]
+                            for steps in range(len(rows) - len(rest) + 1))
+        return by_steps[sum(map(operator.mul, range(len(rest)), rest))]
 
-    return SymmetricForm(spec.n, _grid_labels(spec), pg_pay)
+    # the denominator of _public_goods_rows, without building the rows
+    d = (spec.b / spec.grid_steps).denominator * spec.n * spec.c.denominator
+    return SymmetricForm(spec.n, _grid_labels(spec), _Rule(d, pg_row))
 
 
 def _travelers_form(_: TravelersDilemma) -> SymmetricForm:
-    fraction = cache(Fraction)  # one shared object per pay, which the orbit build scales once
+    by_other = []  # filled on the first call, after the orbit space is checked against the cap
 
-    def td_pay(j: int, rest: tuple[int, ...]) -> Fraction:
-        return fraction(_travelers_pay(_CLAIMS[j], _CLAIMS[rest.index(1)]))
+    def td_row(rest: tuple[int, ...]) -> list[int]:
+        if not by_other:
+            by_other.extend([_travelers_pay(own, other) for own in _CLAIMS] for other in _CLAIMS)
+        return by_other[rest.index(1)]
 
-    return SymmetricForm(2, tuple(map(str, _CLAIMS)), td_pay)
+    return SymmetricForm(2, tuple(map(str, _CLAIMS)), _Rule(1, td_row))
 
 
 def _facility_form(spec: _FacilitySubsets) -> SymmetricForm:
@@ -476,12 +471,18 @@ def _facility_form(spec: _FacilitySubsets) -> SymmetricForm:
         raise ParamOutOfRange(f"no symmetric form for {spec!r}: the players' options differ")
     options = spec.strategies[0]
     d, cost = spec._cost_rule()
+    position: dict[str, int] = {}  # each facility's, in order of first use
+    uses = [[position.setdefault(name, len(position)) for name in subset] for subset in options]
 
-    def facility_cost(j: int, rest: tuple[int, ...]) -> Fraction:
-        usage = facility_usage(options, rest)
-        return Fraction(sum(cost(name, usage[name] + 1) for name in options[j]), d)
+    def facility_row(rest: tuple[int, ...]) -> list[int]:
+        loads = [1] * len(position)  # this player, plus the others on options that use it
+        for used, count in zip(uses, rest):
+            for f in used:
+                loads[f] += count
+        paid = list(map(cost, position, loads))
+        return [sum(map(paid.__getitem__, used)) for used in uses]
 
-    return SymmetricForm(len(spec.strategies), _subset_labels(spec)[0], facility_cost,
+    return SymmetricForm(len(spec.strategies), _subset_labels(spec)[0], _Rule(d, facility_row),
                          Orientation.COST_MIN)
 
 

@@ -20,6 +20,7 @@ from selfishlevel import (
     scale,
     tight_instance,
 )
+from selfishlevel.core import _scaled
 from selfishlevel.errors import (
     DimensionMismatch,
     DuplicateLabel,
@@ -201,6 +202,23 @@ class TestStore:
                         ((Fraction(1, 2), Fraction(2, 4)), (Fraction(-1, -2), Fraction(2))))
         assert (distinct.denominator, distinct.columns) == (2, ((1, 1), (1, 4)))
         assert distinct == shared and hash(distinct) == hash(shared)
+
+    def test_fractions_scale_as_their_string_forms(self):
+        half, third = Fraction(1, 2), Fraction(-1, 3)
+        values = [half, third, half, Fraction(2, 4), Fraction(5), third, Fraction(0), half]
+        assert _scaled(values) == (6, [3, -2, 3, 3, 30, -2, 0, 3])
+        assert _scaled(values) == _scaled([str(v) for v in values])
+
+    @pytest.mark.parametrize("values,message", [
+        ([Fraction(1, 2), "1/0", 0.5, "x"], "zero denominator in '1/0'"),
+        ([Fraction(1, 2), 0.5, "1/0", [1]], "floating-point value 0.5 rejected"),
+        ([Fraction(1, 2), 2, "x", True], "not a rational literal: 'x'"),
+        (["1/2", 2, True, 0.5], "not a rational value: True"),
+        (["1/2", 2, "1/2", [1], 0.5], r"not a rational value: \[1\]"),
+    ])
+    def test_first_bad_value_in_a_mixed_sequence_raises(self, values, message):
+        with pytest.raises(GameError, match=message):
+            _scaled(values)
 
     def test_derived_games_reduce_to_the_canonical_store(self, pd):
         assert pd.negated().negated() == pd

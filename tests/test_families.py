@@ -33,6 +33,9 @@ from selfishlevel import (
     symmetric_selfishness_level,
     tight_instance,
 )
+from selfishlevel import families
+from selfishlevel.analysis import _level
+from selfishlevel.core import _Orbits
 from selfishlevel.errors import ExplosionGuard, InfeasibleParams, ParamOutOfRange
 from selfishlevel.families import check_cap
 
@@ -298,6 +301,9 @@ class TestFacilitySubsets:
         (("e1",), ((("e2",),), ((),)), "facility subsets must be non-empty"),
         (("e1",), ((("e2",),),), "need at least two players"),
         (("e1", "e1"), ((),), "duplicate facility name"),
+        # Within the subset and name checks, the first failure in player order wins.
+        (("e1",), ((("e2", "e2"),), ONE), "facility repeated within a strategy: ('e2', 'e2')"),
+        (("e1",), (ONE, (("e1", "e3"), ("e2",))), "unknown facility 'e3'"),
     ])
     def test_rejections(self, kind, names, strategies, message):
         with pytest.raises(ParamOutOfRange) as raised:
@@ -395,6 +401,64 @@ class TestFacilitySymmetricForm:
             assert symmetric_form(spec).orientation is Orientation.PAYOFF_MAX
 
 
+def _symmetric_congestion(players, facilities=3):
+    names = [f"e{k}" for k in range(1, facilities + 1)]
+    return Congestion(facilities={name: (k % 3, Fraction(k, 2)) for k, name in enumerate(names)},
+                      strategies=(tuple((name,) for name in names),) * players)
+
+
+class TestIntegerRows:
+    """Each symmetric form's integer rows against its own Fraction view,
+    which the orbit space reads through the callback path."""
+
+    SPECS = [
+        *map(PrisonersDilemmaN, (2, 3, 7, 40)),
+        PublicGoodsGrid(n=3, b=0, c=2, grid_steps=4),
+        PublicGoodsGrid(n=4, b=Fraction(5, 7), c=Fraction(9, 4), grid_steps=3),
+        PublicGoodsGrid(n=6, b=1, c=3, grid_steps=2),
+        PublicGoodsGrid(n=2, b=3, c=Fraction(7, 5), grid_steps=6),
+        TravelersDilemma(),
+        CostSharing(facility_costs={"e1": Fraction(5, 2), "e2": 3, "e3": 7},
+                    strategies=((("e1",), ("e1", "e2"), ("e3",)),) * 4),
+        Congestion(facilities={"e1": (Fraction(1, 3), 2), "e2": (2, 0),
+                               "e3": (Fraction(3, 2), Fraction(1, 4))},
+                   strategies=((("e1",), ("e1", "e2"), ("e3",), ("e2", "e3")),) * 3),
+        tight_instance(TightFamily.CONGESTION_SINGLETON, delta=Fraction(1, 4), a=2),
+        tight_instance(TightFamily.CONGESTION_SINGLETON, delta=0, a=Fraction(5, 3)),
+        _symmetric_congestion(9),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: type(spec).__name__)
+    def test_rule_and_callback_give_one_orbit_space(self, spec):
+        form = symmetric_form(spec)
+        n, m = form.player_count, len(form.strategy_labels)
+        rule = _Orbits(n, m, form.payoff, form.orientation)
+        callback = _Orbits(n, m, lambda j, r: form.payoff(j, r), form.orientation)
+        assert ([Fraction(w, rule.denominator) for w in rule.welfare]
+                == [Fraction(w, callback.denominator) for w in callback.welfare])
+        assert (rule.optima, rule.stable) == (callback.optima, callback.stable)
+        for cell in rule.stable:
+            ours, theirs = rule.threshold(cell), callback.threshold(cell)
+            assert (ours is None) == (theirs is None)
+            if ours is not None:
+                assert Fraction(ours[0], ours[1]) == Fraction(theirs[0], theirs[1])
+                assert ours[2][:3] == theirs[2][:3]
+        assert _level(rule) == _level(callback)
+
+    @pytest.mark.parametrize("spec", [s for s in SPECS if isinstance(
+        s, (PrisonersDilemmaN, CostSharing, Congestion)) and symmetric_form(s).player_count < 8],
+        ids=lambda spec: type(spec).__name__)
+    def test_payoff_is_the_first_player_on_j_in_the_dense_table(self, spec):
+        form = symmetric_form(spec)
+        game = generate(spec)
+        n, m = form.player_count, len(form.strategy_labels)
+        for others in itertools.combinations_with_replacement(range(m), n - 1):
+            rest = tuple(map(others.count, range(m)))
+            for j in range(m):
+                profile = tuple(sorted((j, *others)))
+                assert form.payoff(j, rest) == game.payoff(profile, profile.index(j))
+
+
 class TestGuards:
     def test_explosion_guard(self):
         with pytest.raises(ExplosionGuard):
@@ -439,8 +503,22 @@ class TestGuards:
         (lambda: symmetric_selfishness_level(
             10**5, 3, symmetric_form(PublicGoodsGrid(n=10**5, b=1, c=2, grid_steps=2)).payoff,
             cap=3), "5000150001 orbits"),
-    ], ids=["pd_n", "f_level", "public_goods", "public_goods grid", "public_goods orbits"])
-    def test_cap_comes_before_any_table(self, build, text):
+        (lambda: symmetric_selfishness_level(
+            2, 99, symmetric_form(TravelersDilemma()).payoff, cap=3), "4950 orbits"),
+        (lambda: symmetric_selfishness_level(
+            200, 3, symmetric_form(_symmetric_congestion(200)).payoff,
+            orientation=Orientation.COST_MIN, cap=3), "20301 orbits"),
+    ], ids=["pd_n", "f_level", "public_goods", "public_goods grid", "public_goods orbits",
+            "travelers orbits", "congestion orbits"])
+    def test_cap_comes_before_any_table(self, build, text, monkeypatch):
+        # Every table and row is computed from these integer rules, so none may run.
+        def unused(*args):
+            raise AssertionError("a payoff was computed before the cap check")
+
+        for rule in ("_pd_n_pay", "_public_goods_rows", "_travelers_pay"):
+            monkeypatch.setattr(families, rule, unused)
+        cost_rule = Congestion._cost_rule
+        monkeypatch.setattr(Congestion, "_cost_rule", lambda spec: (cost_rule(spec)[0], unused))
         tracemalloc.start()
         started = time.perf_counter()
         try:
