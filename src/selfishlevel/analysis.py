@@ -36,14 +36,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .core import DEFAULT_CELL_CAP, ZERO, Game, Orientation, Profile, _Orbits, parse_share
-from .errors import (
-    EmptyStrategySet,
-    GameError,
-    IndexOutOfRange,
-    NotImproving,
-    NotStableOptimum,
-    PlayerCountTooSmall,
-)
+from .errors import GameError, IndexOutOfRange, NotImproving, NotStableOptimum
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +373,11 @@ def symmetric_selfishness_level(
     dense engine's on the expanded game at a fraction of the cost.
 
     The orbit space has C(player_count + strategy_count - 1,
-    player_count) cells; when that is more than ``cap``, ExplosionGuard
-    is raised before any orbit is built or ``payoff`` is called.
+    player_count) cells.  Before any orbit is built or ``payoff`` is
+    called, the inputs are checked as a ``Game``'s are, each fault a
+    GameError: a count that is not an int, PlayerCountTooSmall below 2
+    players, EmptyStrategySet below 1 strategy, an orientation that is
+    neither an ``Orientation`` nor its string, then ExplosionGuard when
+    the orbits are more than ``cap``.  A float payoff raises GameError.
     """
-    n, m = player_count, strategy_count
-    if n < 2:
-        raise PlayerCountTooSmall(f"a strategic game needs more than one player, got {n}")
-    if m < 1:
-        raise EmptyStrategySet("the players have no strategies")
-    return _level(_Orbits(n, m, payoff, orientation, cap))
+    return _level(_Orbits(player_count, strategy_count, payoff, orientation, cap))

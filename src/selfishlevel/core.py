@@ -80,6 +80,14 @@ class Orientation(str, Enum):
     COST_MIN = "cost"
 
 
+def _orientation(value, error: type[GameError] = GameError) -> Orientation:
+    """``value``, an Orientation or its string, as the member; ``error`` otherwise."""
+    try:
+        return Orientation(value)
+    except ValueError:
+        raise error(f"orientation must be 'payoff' or 'cost', got {value!r}") from None
+
+
 def parse_rational(value) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact Fraction.
 
@@ -199,19 +207,29 @@ def _count_vectors(total: int, m: int) -> list[tuple[int, ...]]:
     return [head[:a] + tail for head in _count_vectors(total, a + 1) for tail in tails[head[a]]]
 
 
+def _check_counts(players, strategies: tuple) -> None:
+    """Raise unless ``players``, and each of ``strategies``, the players'
+    strategy counts in turn, is an int, with at least 2 players and at
+    least 1 strategy each."""
+    for count in (players, *strategies):
+        if type(count) is not int:  # a bool is not a count
+            raise GameError(f"player and strategy counts must be integers, got {count!r}")
+    if players < 2:
+        raise PlayerCountTooSmall(f"a strategic game needs more than one player, got {players}")
+    for i, m in enumerate(strategies):
+        if m < 1:
+            raise EmptyStrategySet(f"player {i + 1} has no strategies")
+
+
 def _check_shape(labels, cells: int, widths: Iterable[int]) -> None:
     """Raise the first violated structural invariant of a table with
     ``cells`` payoff vectors of lengths ``widths`` over ``labels``."""
-    if len(labels) < 2:
-        raise PlayerCountTooSmall(
-            f"a strategic game needs more than one player, got {len(labels)}"
-        )
+    counts = tuple(map(len, labels))
+    _check_counts(len(labels), counts)
     for i, per_player in enumerate(labels):
-        if not per_player:
-            raise EmptyStrategySet(f"player {i + 1} has no strategies")
         if len(set(per_player)) != len(per_player):
             raise DuplicateLabel(f"player {i + 1} has duplicate strategy labels")
-    expected = math.prod(map(len, labels))
+    expected = math.prod(counts)
     if cells != expected:
         raise DimensionMismatch(f"payoff tensor has {cells} cells, expected {expected}")
     n = len(labels)
@@ -273,7 +291,10 @@ class Game:
 
     ``Game(orientation, strategy_labels, payoffs)`` takes one length-n
     vector of rationals (ints, Fractions or "p/q" strings) per joint
-    strategy, in flat order, and checks every value and the shape.
+    strategy, in flat order, and checks every value and the shape.  Each
+    constructor raises a GameError: the first value ``parse_rational``
+    rejects, then ``_check_shape``'s first fault, then an orientation that
+    is neither an ``Orientation`` nor its string, "payoff" or "cost".
     """
 
     orientation: Orientation
@@ -304,7 +325,7 @@ class Game:
         if divisor > 1:
             denominator //= divisor
             columns = tuple(tuple(v // divisor for v in column) for column in columns)
-        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "orientation", _orientation(orientation))
         object.__setattr__(self, "strategy_labels", labels)
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "columns", columns)
@@ -700,12 +721,15 @@ class _Orbits(_Space):
     vector is summed in one pass over those keys: the value of j against r
     is earned by each of the ``r_j + 1`` players on j in orbit ``r + powers[j]``.
 
-    The orbit count, C(n + m - 1, n), is checked against ``cap`` before
-    anything is enumerated or evaluated.
+    The counts pass ``Game``'s count rule, the orientation is coerced as a
+    ``Game``'s is, and the orbit count, C(n + m - 1, n), is checked against
+    ``cap``, in that order, before anything is enumerated or evaluated.
     """
 
     def __init__(self, n: int, m: int, payoff, orientation: Orientation,
                  cap: int = DEFAULT_CELL_CAP):
+        _check_counts(n, (m,))
+        orientation = _orientation(orientation)
         _check_size(_orbit_counts(n, m), cap, "orbit space", "orbits")
         self.base = n + 1
         self.powers = powers = [self.base ** j for j in range(m)]

@@ -22,7 +22,6 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Union
 
 from .core import DEFAULT_CELL_CAP, ONE, ZERO, Game, Orientation, _Rule, check_cap, parse_rational
@@ -513,9 +512,7 @@ class TightFamily(str, Enum):
     CONGESTION_INTEGER = "congestion_integer"
 
 
-def _tight_cost_sharing_singleton(c_max, c_min) -> CostSharing:
-    c_max = parse_rational(c_max)
-    c_min = parse_rational(c_min)
+def _tight_cost_sharing_singleton(c_max: Fraction, c_min: Fraction) -> CostSharing:
     _require(c_min > 0, "need c_min > 0")
     _require(c_max > 2 * c_min, "need c_max > 2 * c_min")
     return CostSharing(
@@ -524,9 +521,9 @@ def _tight_cost_sharing_singleton(c_max, c_min) -> CostSharing:
     )
 
 
-def _tight_cost_sharing_integer(L, c_max) -> CostSharing:
-    _require(isinstance(L, int) and L >= 1, "need an integer L >= 1")
-    _require(isinstance(c_max, int) and c_max >= 1, "need an integer c_max >= 1")
+def _tight_cost_sharing_integer(L: int, c_max: int) -> CostSharing:
+    _require(L >= 1, "need an integer L >= 1")
+    _require(c_max >= 1, "need an integer c_max >= 1")
     n = L + 1
     names = [f"e{i}" for i in range(1, n + 1)]
     costs = tuple((names[i], Fraction(c_max)) for i in range(L)) + ((names[L], ONE),)
@@ -536,9 +533,7 @@ def _tight_cost_sharing_integer(L, c_max) -> CostSharing:
     return CostSharing(facility_costs=costs, strategies=strategies)
 
 
-def _tight_congestion_singleton(delta, a) -> Congestion:
-    delta = parse_rational(delta)
-    a = parse_rational(a)
+def _tight_congestion_singleton(delta: Fraction, a: Fraction) -> Congestion:
     _require(0 <= delta < 1, "need discrepancy delta in [0, 1)")
     _require(a > 0, "need a > 0")
     facilities = (("e1", ZERO, (2 + delta) * a), ("e2", a, ZERO))
@@ -546,10 +541,10 @@ def _tight_congestion_singleton(delta, a) -> Congestion:
     return Congestion(facilities=facilities, strategies=(options, options))
 
 
-def _tight_congestion_integer(L, d_max, d_min) -> Congestion:
-    _require(isinstance(L, int) and L >= 1, "need an integer L >= 1")
-    _require(isinstance(d_max, int) and d_max >= 1, "need an integer d_max >= 1")
-    _require(isinstance(d_min, int) and d_min >= 1, "need an integer d_min >= 1")
+def _tight_congestion_integer(L: int, d_max: int, d_min: int) -> Congestion:
+    _require(L >= 1, "need an integer L >= 1")
+    _require(d_max >= 1, "need an integer d_max >= 1")
+    _require(d_min >= 1, "need an integer d_min >= 1")
     _require(d_max >= d_min, "need d_max >= d_min")
     numerator = L * d_max + 1 + d_min
     if numerator % (2 * d_min) != 0:
@@ -577,15 +572,14 @@ def tight_instance(family: TightFamily, **params) -> FamilySpec:
     congestion_singleton: delta in [0, 1), a > 0;
     congestion_integer: L, d_max, d_min (positive integers) such that
     (2n-1)*d_min = L*d_max + 1 for some feasible player count n.
+
+    It is the ``FAMILIES`` entry ``<family>_tight``, checked as ``generate``
+    on the CLI checks it: ParamOutOfRange for an unknown family, or an
+    unknown, missing, non-integer or out-of-range parameter, and
+    InfeasibleParams when no instance fits.
     """
-    family = TightFamily(family)
-    builders = {
-        TightFamily.COST_SHARING_SINGLETON: _tight_cost_sharing_singleton,
-        TightFamily.COST_SHARING_INTEGER: _tight_cost_sharing_integer,
-        TightFamily.CONGESTION_SINGLETON: _tight_congestion_singleton,
-        TightFamily.CONGESTION_INTEGER: _tight_congestion_integer,
-    }
-    return builders[family](**params)
+    name = family.value if isinstance(family, TightFamily) else family
+    return named(f"{name}_tight").spec(params)
 
 
 def cost_sharing_gap_instance(c_max, c_min, gap) -> CostSharing:
@@ -629,8 +623,8 @@ class Family:
     build: Callable[..., object]
     params: tuple[Param, ...] = ()
 
-    def spec(self, params: dict[str, Fraction]):
-        """The spec for parsed ``--param`` values.
+    def spec(self, params: dict):
+        """The spec for ``--param`` values, each parsed by ``parse_rational``.
 
         Raises ParamOutOfRange for keys the family does not take, then
         for a missing or non-integer parameter, then for whatever the
@@ -643,7 +637,7 @@ class Family:
         for p in self.params:
             if p.key not in params and p.default is None:
                 raise ParamOutOfRange(f"missing required parameter {p.key!r}")
-            value = params.get(p.key, p.default)
+            value = parse_rational(params[p.key]) if p.key in params else p.default
             if p.kind is int and value.denominator != 1:
                 raise ParamOutOfRange(f"parameter {p.key!r} must be an integer, got {value}")
             kwargs[p.keyword or p.key] = p.kind(value)
@@ -664,17 +658,13 @@ FAMILIES: dict[str, Family] = {
     "weakly_acyclic_3x3": Family(WeaklyAcyclic3x3),
     "f_level": Family(FLevelGame, (Param("n", int), Param("f", keyword="f_value"))),
     "cost_sharing_singleton_tight": Family(
-        partial(tight_instance, TightFamily.COST_SHARING_SINGLETON),
-        (Param("c_max"), Param("c_min"))),
+        _tight_cost_sharing_singleton, (Param("c_max"), Param("c_min"))),
     "cost_sharing_integer_tight": Family(
-        partial(tight_instance, TightFamily.COST_SHARING_INTEGER),
-        (Param("L", int), Param("c_max", int))),
+        _tight_cost_sharing_integer, (Param("L", int), Param("c_max", int))),
     "congestion_singleton_tight": Family(
-        partial(tight_instance, TightFamily.CONGESTION_SINGLETON),
-        (Param("delta"), Param("a"))),
+        _tight_congestion_singleton, (Param("delta"), Param("a"))),
     "congestion_integer_tight": Family(
-        partial(tight_instance, TightFamily.CONGESTION_INTEGER),
-        (Param("L", int), Param("d_max", int), Param("d_min", int))),
+        _tight_congestion_integer, (Param("L", int), Param("d_max", int), Param("d_min", int))),
     "cost_sharing_gap": Family(
         cost_sharing_gap_instance, (Param("c_max"), Param("c_min"), Param("gap"))),
 }

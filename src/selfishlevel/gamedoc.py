@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analysis, dynamics, families
-from .core import Game, Orientation, Profile, format_rational
+from .core import Game, Profile, _orientation, format_rational
 from .errors import (
     DocumentSyntaxError,
     DuplicateProfile,
@@ -157,13 +157,7 @@ def parse_game_document(text: str, cap: int | None = None) -> GameDocument:
     obj = _load_json(text)
     if not isinstance(obj, dict):
         raise GameDocumentError("document root must be an object")
-    raw_orientation = obj.get("orientation")
-    try:
-        orientation = Orientation(raw_orientation)
-    except ValueError:
-        raise GameDocumentError(
-            f"orientation must be 'payoff' or 'cost', got {raw_orientation!r}"
-        ) from None
+    orientation = _orientation(obj.get("orientation"), GameDocumentError)
     names, labels = _parse_players(obj)
     if cap is not None:
         families.check_cap([len(per_player) for per_player in labels], cap)

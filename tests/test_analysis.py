@@ -697,6 +697,42 @@ class TestSymmetricReduction:
         with pytest.raises(EmptyStrategySet):
             symmetric_selfishness_level(2, 0, lambda j, rest: Fraction(0))
 
+    @pytest.mark.parametrize("n,m,text", [(2.0, 2, "2.0"), (True, 2, "True"), (2, 2.5, "2.5"),
+                                          (2, False, "False"), ("3", 2, "'3'")])
+    def test_counts_must_be_integers(self, n, m, text):
+        def payoff(j, rest):
+            raise AssertionError("a payoff was computed before the counts were checked")
+
+        with pytest.raises(GameError) as raised:
+            symmetric_selfishness_level(n, m, payoff)
+        assert str(raised.value) == f"player and strategy counts must be integers, got {text}"
+
+    def test_count_errors_read_as_a_games(self):
+        with pytest.raises(PlayerCountTooSmall) as raised:
+            symmetric_selfishness_level(1, 0, lambda j, rest: Fraction(j))
+        assert str(raised.value) == "a strategic game needs more than one player, got 1"
+        with pytest.raises(EmptyStrategySet) as raised:
+            symmetric_selfishness_level(3, 0, lambda j, rest: Fraction(j))
+        assert str(raised.value) == "player 1 has no strategies"
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_orientation_string_reads_as_the_member(self, orientation):
+        rng = random.Random(str(orientation))
+        for n, m in ((2, 2), (3, 2), (3, 3), (4, 2)):
+            payoff = _random_symmetric_payoff(rng)
+            member = symmetric_selfishness_level(n, m, payoff, orientation=orientation)
+            assert symmetric_selfishness_level(n, m, payoff,
+                                               orientation=orientation.value) == member
+
+    @pytest.mark.parametrize("orientation", ["bogus", None, "COST_MIN"])
+    def test_unknown_orientation_rejected(self, orientation):
+        def payoff(j, rest):
+            raise AssertionError("a payoff was computed before the orientation was checked")
+
+        with pytest.raises(GameError) as raised:
+            symmetric_selfishness_level(3, 2, payoff, orientation=orientation)
+        assert str(raised.value) == f"orientation must be 'payoff' or 'cost', got {orientation!r}"
+
     def test_matches_dense_engine_on_public_goods(self):
         spec = PublicGoodsGrid(n=3, b=2, c=Fraction(3, 2), grid_steps=3)
         from selfishlevel import symmetric_form

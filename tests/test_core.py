@@ -17,9 +17,16 @@ from selfishlevel import (
     generate,
     is_alpha_selfish,
     parse_rational,
+    price_of_anarchy,
+    price_of_stability,
+    pure_nash,
     scale,
+    selfishness_level,
+    social_optima,
+    stable_social_optima,
     tight_instance,
 )
+from selfishlevel import gamedoc
 from selfishlevel.core import _scaled
 from selfishlevel.errors import (
     DimensionMismatch,
@@ -32,7 +39,7 @@ from selfishlevel.errors import (
 )
 
 from conftest import two_player
-from oracles import naive_pure_nash, random_game
+from oracles import naive_pure_nash, random_game, random_game_corpus
 
 
 class TestValidation:
@@ -339,3 +346,39 @@ def test_equilibria_on_long_axes(counts, orientation):
         found = kernel.equilibria(alpha.numerator, alpha.denominator)
         assert [kernel.profile(c) for c in found] == nash
         assert is_alpha_selfish(game, alpha) == any(s in nash for s in optimal)
+
+
+class TestOrientationCoercion:
+    """Every constructor reads an orientation's string as the member, and
+    rejects anything else with a GameError."""
+
+    QUERIES = [pure_nash, social_optima, stable_social_optima, selfishness_level,
+               price_of_stability, price_of_anarchy,
+               lambda g: gamedoc.render_game_document(gamedoc.GameDocument.from_game(g))]
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_string_reads_as_the_member(self, orientation):
+        for table in random_game_corpus(seed=1105, size=30):
+            labels, cells = table.strategy_labels, table.payoffs
+            member = Game(orientation, labels, cells)
+            text = Game(orientation.value, labels, cells)
+            assert text.orientation is orientation
+            assert text == member and hash(text) == hash(member)
+            for query in self.QUERIES:
+                assert query(text) == query(member)
+
+    def test_string_orientation_of_a_dense_table(self, pd):
+        nested = [[list(pd.payoffs[0]), list(pd.payoffs[1])],
+                  [list(pd.payoffs[2]), list(pd.payoffs[3])]]
+        game = Game.from_dense("payoff", pd.strategy_labels, nested)
+        assert game.orientation is Orientation.PAYOFF_MAX
+        assert pure_nash(game) == pure_nash(pd) == [(1, 1)]
+
+    @pytest.mark.parametrize("orientation", ["bogus", None, "PAYOFF_MAX", 1])
+    def test_anything_else_is_rejected(self, pd, orientation):
+        message = f"orientation must be 'payoff' or 'cost', got {orientation!r}"
+        with pytest.raises(GameError) as raised:
+            Game(orientation, pd.strategy_labels, pd.payoffs)
+        assert str(raised.value) == message
+        with pytest.raises(GameError):
+            Game.from_dense(orientation, (("a",), ("b",)), [[[1, 2]]])

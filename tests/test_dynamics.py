@@ -269,6 +269,32 @@ def _dynamics_games():
     return games + [_doubled_battle_of_sexes()]
 
 
+def _near_potential_games():
+    """(game, moved) pairs: seeded exact-potential games, each as it is and
+    with one player's value at one cell moved, for every player and cell,
+    so that a moved value falls in every outer block of every player's axis
+    segments; and a 2x2x2 game of that kind whose walk finds a cycle."""
+    rng = random.Random(1105)
+    pairs = []
+    for counts in ((2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2)):
+        profiles = list(itertools.product(*map(range, counts)))
+        potential = [rng.randint(-3, 3) for _ in profiles]
+        others = [{} for _ in counts]  # per player, a value of the others' profile
+        table = [[p + others[i].setdefault(s[:i] + s[i + 1:], rng.randint(-3, 3))
+                  for i in range(len(counts))] for s, p in zip(profiles, potential)]
+        labels = tuple(tuple(f"s{j}" for j in range(m)) for m in counts)
+        for orientation in Orientation:
+            pairs.append((Game(orientation, labels, table), False))
+            for cell, player in itertools.product(range(len(table)), range(len(counts))):
+                moved = [list(vector) for vector in table]
+                moved[cell][player] += rng.choice((-6, -3, -1, 1, 3, 6))
+                pairs.append((Game(orientation, labels, moved), True))
+    cycle = Game(Orientation.PAYOFF_MAX, (("a", "b"),) * 3,
+                 [(3, 3, 3), (2, 2, 2), (0, 0, 0), (3, 3, 3),
+                  (3, 3, 3), (2, 5, 2), (4, 4, 0), (3, 3, 3)])
+    return pairs + [(cycle, True)]
+
+
 class TestIntegerWalk:
     def test_matches_reference_walk(self):
         classes = set()
@@ -363,6 +389,19 @@ class TestExactPotential:
                 assert acyclic and weakly
             classes.add((exact, acyclic))
         assert classes == {(True, True), (False, True), (False, False)}
+
+    def test_one_moved_value_breaks_it(self):
+        classes = set()
+        for game, moved in _near_potential_games():
+            exact = game._kernel.exact_potential
+            assert exact == _four_cycle_potential(game) == (not moved)
+            acyclic, weakly = _reference_walk(improvement_graph(game))
+            assert (has_fip(game), is_weakly_acyclic(game)) == (acyclic, weakly)
+            classes.add((exact, acyclic, weakly))
+        assert classes == {(True, True, True), (False, True, True), (False, False, True),
+                           (False, False, False)}
+        cycle, _ = _near_potential_games()[-1]
+        assert not has_fip(cycle) and not is_weakly_acyclic(cycle)
 
     def test_facility_games_have_one(self):
         rng = random.Random(1973)

@@ -36,7 +36,7 @@ from selfishlevel import (
 from selfishlevel import families
 from selfishlevel.analysis import _level
 from selfishlevel.core import _Orbits
-from selfishlevel.errors import ExplosionGuard, InfeasibleParams, ParamOutOfRange
+from selfishlevel.errors import ExplosionGuard, GameError, InfeasibleParams, ParamOutOfRange
 from selfishlevel.families import check_cap
 
 
@@ -274,6 +274,56 @@ class TestCongestion:
         )
         game = generate(spec)
         assert game.payoff((0, 0), 0) == 2 * 2 + 1
+
+
+TIGHT_PARAMS = {
+    TightFamily.COST_SHARING_SINGLETON: {"c_max": 9, "c_min": 2},
+    TightFamily.COST_SHARING_INTEGER: {"L": 2, "c_max": 3},
+    TightFamily.CONGESTION_SINGLETON: {"delta": Fraction(1, 4), "a": 2},
+    TightFamily.CONGESTION_INTEGER: {"L": 2, "d_max": 3, "d_min": 1},
+}
+
+
+class TestTightInstance:
+    """``tight_instance`` is the ``*_tight`` entry of ``FAMILIES``, with its checks."""
+
+    @pytest.mark.parametrize("family", list(TightFamily))
+    def test_is_the_families_entry(self, family):
+        params = TIGHT_PARAMS[family]
+        spec = families.FAMILIES[f"{family.value}_tight"].spec(params)
+        assert tight_instance(family, **params) == spec
+        assert tight_instance(family.value, **params) == spec
+        text = {key: str(value) for key, value in params.items()}
+        assert tight_instance(family, **text) == spec
+
+    @pytest.mark.parametrize("family,params,message", [
+        ("nope", {}, "unknown family 'nope_tight'"),
+        (None, {"c_max": 9}, "unknown family 'None_tight'"),
+        (TightFamily.CONGESTION_SINGLETON, {"delta": 0},
+         "missing required parameter 'a'"),
+        (TightFamily.CONGESTION_SINGLETON, {"delta": 0, "a": 1, "b": 2},
+         "unknown parameters: b"),
+        (TightFamily.COST_SHARING_INTEGER, {"L": Fraction(3, 2), "c_max": 2},
+         "parameter 'L' must be an integer, got 3/2"),
+        (TightFamily.CONGESTION_INTEGER, {"L": 0, "d_max": 3, "d_min": 1},
+         "need an integer L >= 1"),
+    ])
+    def test_bad_parameters_raise_param_out_of_range(self, family, params, message):
+        with pytest.raises(ParamOutOfRange) as raised:
+            tight_instance(family, **params)
+        assert str(raised.value) == message
+
+    def test_float_parameter_raises_parse_error(self):
+        with pytest.raises(GameError, match="floating-point value 0.25 rejected"):
+            tight_instance(TightFamily.CONGESTION_SINGLETON, delta=0.25, a=2)
+
+    @pytest.mark.parametrize("orientation", [Orientation.COST_MIN, "cost"])
+    def test_compact_cost_orientation_of_the_singleton_congestion(self, orientation):
+        spec = tight_instance(TightFamily.CONGESTION_SINGLETON, delta=Fraction(1, 4), a=2)
+        form = symmetric_form(spec)
+        level = symmetric_selfishness_level(2, 2, form.payoff, orientation=orientation)
+        assert level == selfishness_level(generate(spec))
+        assert level.level() == Fraction(1, 3)
 
 
 def _facility_spec(kind, names, strategies, bad=None):
